@@ -42,14 +42,12 @@ from .symmetry import (
     SaturatingCount,
     SymmetryReport,
     analyze,
-    component_dist,
-    component_fix,
+    component_report,
     dist_number,
     fix_number,
     head_invariants,
     head_of_component,
     leg_dist_count,
-    leg_dist_count_exact,
     leg_fix,
     min_c_binom,
 )
@@ -66,8 +64,8 @@ __all__ = [
     "CrOutcome", "CrVerdict", "Partition", "cr_iso_test", "is_equitable",
     "refine", "stable_partition",
     "CellTree", "HeadKind", "HeadShape", "SaturatingCount", "SymmetryReport",
-    "analyze", "component_dist", "component_fix", "dist_number", "fix_number",
-    "head_invariants", "head_of_component", "leg_dist_count",
-    "leg_dist_count_exact", "leg_fix", "min_c_binom",
+    "analyze", "component_report", "dist_number", "fix_number",
+    "head_invariants", "head_of_component", "leg_dist_count", "leg_fix",
+    "min_c_binom",
     "errors", "generators", "oracle",
 ]

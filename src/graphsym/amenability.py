@@ -21,11 +21,11 @@ from .cells import (
     CellKind,
     Component,
     PairKind,
-    analyze_components,
-    build_cell_graph,
+    anisotropic_components,
+    cell_graph_of_equitable,
 )
 from .graph import Graph
-from .refinement import CrOutcome, cr_iso_test, stable_partition
+from .refinement import CrOutcome, Partition, cr_partition, stable_partition
 
 _ALLOWED_CELL_KINDS = {
     CellKind.EMPTY, CellKind.COMPLETE, CellKind.MATCHING,
@@ -90,8 +90,12 @@ def check_amenable(g: Graph) -> AmenabilityVerdict:
     pairs and components by lowest index; only the first violation is
     reported.
     """
-    p = stable_partition(g)
-    cg = build_cell_graph(g, p)
+    return _judge(g, stable_partition(g))
+
+
+def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
+    """check_amenable over g's stable partition p."""
+    cg = cell_graph_of_equitable(g, p)
 
     for i, kind in enumerate(cg.cell_kinds):
         if kind not in _ALLOWED_CELL_KINDS:
@@ -104,48 +108,16 @@ def check_amenable(g: Graph) -> AmenabilityVerdict:
                 amenable=False, failure=Failure(condition=Condition.B, pair=(i, j))
             )
 
-    analyses = analyze_components(cg)
-    for idx, a in enumerate(analyses):
-        if not a.tree_ok:
-            return AmenabilityVerdict(
-                amenable=False,
-                failure=Failure(condition=Condition.C, component=idx, reason="not a tree"),
-            )
-        for reason, parent, child in a.bad_edges:
-            text = (
-                f"cell sizes decrease along {parent} -> {child}"
-                if reason == "monotone"
-                else f"size of cell {parent} does not divide size of cell {child}"
-            )
-            return AmenabilityVerdict(
-                amenable=False,
-                failure=Failure(condition=Condition.C, component=idx, reason=text),
-            )
-    for idx, a in enumerate(analyses):
-        if len(a.het_cells) > 1:
-            return AmenabilityVerdict(
-                amenable=False,
-                failure=Failure(
-                    condition=Condition.D, component=idx,
-                    reason="more than one heterogeneous cell",
-                ),
-            )
-        if a.het_cells and a.het_cells[0] != a.root:
-            return AmenabilityVerdict(
-                amenable=False,
-                failure=Failure(
-                    condition=Condition.D, component=idx,
-                    reason="heterogeneous cell is not of minimum size",
-                ),
-            )
-
-    forest = AnisotropicForest(components=tuple(
-        Component(
-            cells=a.cells, root=a.root, parent=a.parent, children=a.children,
-            multiplicity=a.multiplicity, heterogeneous=bool(a.het_cells),
+    forest = anisotropic_components(cg)
+    findings = [(cond, idx, reason)
+                for idx, comp in enumerate(forest.components)
+                for cond, reason, _cells in comp.findings()]
+    if findings:
+        cond, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
+        return AmenabilityVerdict(
+            amenable=False,
+            failure=Failure(condition=Condition(cond), component=idx, reason=reason),
         )
-        for a in analyses
-    ))
     return AmenabilityVerdict(amenable=True, cell_graph=cg, forest=forest)
 
 
@@ -161,10 +133,16 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     NotIsomorphic is always sound.  Isomorphic is certified by amenability
     of one input; HeuristicEquivalent means color refinement found no
     difference but neither graph is amenable.
+
+    The disjoint union is refined once.  Its stable partition restricted to
+    g is g's stable partition, since a vertex's color depends only on its
+    own unfolding tree.  Only g is judged: if h were amenable, CR
+    equivalence would make g isomorphic to h and hence amenable too.
     """
-    verdict = cr_iso_test(g, h)
+    verdict, p = cr_partition(g, h)
     if verdict.outcome is CrOutcome.DISTINGUISHED:
         return IsoVerdict.NOT_ISOMORPHIC
-    if check_amenable(g).amenable or check_amenable(h).amenable:
+    own = p.restrict(range(g.n), {v: v for v in range(g.n)})
+    if _judge(g, own).amenable:
         return IsoVerdict.ISOMORPHIC
     return IsoVerdict.HEURISTIC_EQUIVALENT

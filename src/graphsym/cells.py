@@ -10,18 +10,12 @@ centers on the smaller side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    BadDivisibility,
-    MultipleHeterogeneous,
-    NotATree,
-    NotEquitable,
-    NotMonotone,
-)
+from .errors import NotEquitable
 from .graph import Graph
-from .refinement import Partition
+from .refinement import Partition, first_deviation
 
 
 class CellKind(Enum):
@@ -99,23 +93,62 @@ class CellGraph:
 
 @dataclass(frozen=True)
 class Component:
-    """One anisotropic component, rooted; a tree over cell ids."""
+    """One connected component of the anisotropic pairs, rooted, with what
+    breaks conditions C and D in it.
+
+    The root is a minimum-size cell, preferring the heterogeneous cell when
+    it attains the minimum, with the lowest cell id breaking remaining ties.
+    parent, children and multiplicity come from a breadth-first walk from
+    the root and are empty when the component is not a tree; bad_edges are
+    the walk's tree edges along which cell sizes decrease or do not divide.
+    """
 
     cells: tuple[int, ...]
     root: int
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     multiplicity: dict[int, int]  # child cell id -> |child| / |parent|
-    heterogeneous: bool
+    het_cells: tuple[int, ...] = ()
+    is_tree: bool = True
+    bad_edges: tuple[tuple[str, int, int], ...] = ()  # (reason, parent, child)
+
+    @property
+    def heterogeneous(self) -> bool:
+        return bool(self.het_cells)
+
+    def findings(self) -> list[tuple[str, str, tuple[int, ...]]]:
+        """(condition, reason, cells involved) for each violation of C, then D."""
+        out: list[tuple[str, str, tuple[int, ...]]] = []
+        if not self.is_tree:
+            out.append(("C", "not a tree", self.cells))
+        for reason, parent, child in self.bad_edges:
+            text = (
+                f"cell sizes decrease along {parent} -> {child}"
+                if reason == "monotone"
+                else f"size of cell {parent} does not divide size of cell {child}"
+            )
+            out.append(("C", text, (parent, child)))
+        if len(self.het_cells) > 1:
+            out.append(("D", "more than one heterogeneous cell", self.het_cells))
+        elif self.het_cells and self.het_cells[0] != self.root:
+            out.append(("D", "heterogeneous cell is not of minimum size", self.het_cells))
+        return out
 
     def to_json(self) -> dict:
-        return {
+        out: dict = {
             "cells": list(self.cells),
             "root": self.root,
             "parents": {str(c): p for c, p in sorted(self.parent.items())},
             "multiplicities": {str(c): m for c, m in sorted(self.multiplicity.items())},
             "heterogeneous": self.heterogeneous,
         }
+        findings = self.findings()
+        if findings:
+            out["findings"] = [
+                {"condition": cond, "reason": reason, "cells": list(cells)}
+                for cond, reason, cells in findings
+            ]
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,31 +162,28 @@ class AnisotropicForest:
 def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
     """Compute degree constants and classify cells and pairs.
 
-    Verifies equitability as a side effect of computing d; raises
-    NotEquitable if any vertex deviates from its cell's profile.
+    Raises NotEquitable if any vertex deviates from its cell's profile.
     """
+    deviation = first_deviation(g, p)
+    if deviation is not None:
+        raise NotEquitable(*deviation)
+    return cell_graph_of_equitable(g, p)
+
+
+def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
+    """build_cell_graph for a partition known to be equitable, such as one
+    fresh from refine: d is read from the lowest vertex of each cell."""
     cell_of = p.cell_of
     sizes = tuple(len(c) for c in p.cells)
     k = len(sizes)
-    reference: list[dict[int, int] | None] = [None] * k
-    profile: dict[int, int] = {}
-    for v in range(g.n):
-        profile.clear()
-        for u in g.adjacency[v]:
-            c = cell_of[u]
-            profile[c] = profile.get(c, 0) + 1
-        c = cell_of[v]
-        ref = reference[c]
-        if ref is None:
-            reference[c] = dict(profile)
-        elif ref != profile:
-            raise NotEquitable(v, c)
-
     d: dict[tuple[int, int], int] = {}
     for i in range(k):
-        ref = reference[i] or {}
-        d[(i, i)] = ref.get(i, 0)
-        for j, count in ref.items():
+        profile: dict[int, int] = {}
+        for u in g.adjacency[p.cells[i][0]]:
+            c = cell_of[u]
+            profile[c] = profile.get(c, 0) + 1
+        d[(i, i)] = profile.get(i, 0)
+        for j, count in profile.items():
             if j != i:
                 d[(i, j)] = count
 
@@ -201,137 +231,63 @@ def _classify_pair(i: int, j: int, si: int, sj: int, dij: int, dji: int) -> Pair
     return PairClass(kind=PairKind.OTHER)
 
 
-@dataclass
-class ComponentAnalysis:
-    """Raw per-component findings before amenability judges them."""
+def anisotropic_components(cg: CellGraph) -> AnisotropicForest:
+    """Connected components of the anisotropic pairs, rooted and checked.
 
-    cells: tuple[int, ...]
-    root: int
-    parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
-    multiplicity: dict[int, int]
-    het_cells: tuple[int, ...]
-    tree_ok: bool
-    bad_edges: list[tuple[str, int, int]] = field(default_factory=list)  # (reason, parent, child)
-
-
-def _aniso_adjacency(cg: CellGraph) -> list[list[int]]:
+    Components are ordered by lowest cell id.  Structural problems are
+    recorded on each Component (see Component.findings), never raised;
+    check_amenable judges conditions C and D from them.
+    """
+    sizes = cg.cell_sizes
     adj: list[list[int]] = [[] for _ in range(cg.num_cells)]
     for (i, j), pc in sorted(cg.pair_classes.items()):
         if pc.kind in ANISOTROPIC_KINDS:
-            adj[i].append(j)
+            adj[i].append(j)  # sorted keys keep every list ascending
             adj[j].append(i)
-    return adj
-
-
-def _build_tree(
-    aniso_adj: list[list[int]], root: int, sizes: tuple[int, ...]
-) -> tuple[dict[int, int], dict[int, tuple[int, ...]], dict[int, int], list[tuple[str, int, int]]]:
-    parent: dict[int, int] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    multiplicity: dict[int, int] = {}
-    bad_edges: list[tuple[str, int, int]] = []
-    order = [root]
-    visited = {root}
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        kids = []
-        for y in sorted(aniso_adj[x]):
-            if y not in visited:
-                visited.add(y)
-                parent[y] = x
-                kids.append(y)
-                order.append(y)
-                if sizes[y] < sizes[x]:
-                    bad_edges.append(("monotone", x, y))
-                elif sizes[y] % sizes[x] != 0:
-                    bad_edges.append(("divisibility", x, y))
-                else:
-                    multiplicity[y] = sizes[y] // sizes[x]
-        children[x] = tuple(kids)
-    return parent, children, multiplicity, bad_edges
-
-
-def analyze_components(cg: CellGraph) -> list[ComponentAnalysis]:
-    """Connected components of the anisotropic edge graph, rooted and checked.
-
-    Components are ordered by lowest cell id.  The root is a minimum-size
-    cell, preferring the heterogeneous cell when it attains the minimum,
-    with the lowest cell id breaking remaining ties.  This deterministic
-    choice is recorded, not claimed root-independent.
-    """
-    k = cg.num_cells
-    aniso_adj = _aniso_adjacency(cg)
-    seen = [False] * k
-    out: list[ComponentAnalysis] = []
-    for start in range(k):
+    seen = [False] * cg.num_cells
+    comps: list[Component] = []
+    for start in range(cg.num_cells):
         if seen[start]:
             continue
         comp = [start]
         seen[start] = True
-        queue = [start]
-        edges = 0
-        while queue:
-            x = queue.pop()
-            edges += len(aniso_adj[x])
-            for y in aniso_adj[x]:
+        stack = [start]
+        degree_sum = 0
+        while stack:
+            x = stack.pop()
+            degree_sum += len(adj[x])
+            for y in adj[x]:
                 if not seen[y]:
                     seen[y] = True
                     comp.append(y)
-                    queue.append(y)
+                    stack.append(y)
         comp.sort()
-        edges //= 2
-        tree_ok = edges == len(comp) - 1
         het = tuple(c for c in comp if cg.is_heterogeneous(c))
-        min_size = min(cg.cell_sizes[c] for c in comp)
-        root = next((c for c in het if cg.cell_sizes[c] == min_size), None)
+        min_size = min(sizes[c] for c in comp)
+        root = next((c for c in het if sizes[c] == min_size), None)
         if root is None:
-            root = next(c for c in comp if cg.cell_sizes[c] == min_size)
-        if tree_ok:
-            parent, children, multiplicity, bad_edges = _build_tree(
-                aniso_adj, root, cg.cell_sizes
-            )
-        else:
-            parent, children, multiplicity, bad_edges = {}, {}, {}, []
-        out.append(ComponentAnalysis(
-            cells=tuple(comp), root=root, parent=parent, children=children,
-            multiplicity=multiplicity, het_cells=het, tree_ok=tree_ok,
-            bad_edges=bad_edges,
-        ))
-    return out
-
-
-def anisotropic_components(cg: CellGraph) -> AnisotropicForest:
-    """Rooted anisotropic components, verified to be monotone trees.
-
-    Raises the first structural violation instead of repairing it; use
-    check_amenable for a non-raising verdict.  A lone heterogeneous cell
-    that is not of minimum size is rooted anyway, so the size decrease
-    below it surfaces as NotMonotone.
-    """
-    aniso_adj = _aniso_adjacency(cg)
-    comps: list[Component] = []
-    for idx, a in enumerate(analyze_components(cg)):
-        if not a.tree_ok:
-            raise NotATree(idx)
-        if len(a.het_cells) > 1:
-            raise MultipleHeterogeneous(idx)
-        root, parent, children, multiplicity, bad_edges = (
-            a.root, a.parent, a.children, a.multiplicity, a.bad_edges
-        )
-        if a.het_cells and a.het_cells[0] != a.root:
-            root = a.het_cells[0]
-            parent, children, multiplicity, bad_edges = _build_tree(
-                aniso_adj, root, cg.cell_sizes
-            )
-        for reason, p, c in bad_edges:
-            if reason == "monotone":
-                raise NotMonotone(p, c)
-            raise BadDivisibility(p, c)
+            root = next(c for c in comp if sizes[c] == min_size)
+        is_tree = degree_sum == 2 * (len(comp) - 1)
+        parent: dict[int, int] = {}
+        children: dict[int, tuple[int, ...]] = {}
+        multiplicity: dict[int, int] = {}
+        bad_edges: list[tuple[str, int, int]] = []
+        order = [root] if is_tree else []
+        for x in order:  # breadth-first; order grows as the walk goes
+            kids = tuple(y for y in adj[x] if y != parent.get(x))
+            children[x] = kids
+            for y in kids:
+                parent[y] = x
+                order.append(y)
+                if sizes[y] < sizes[x]:
+                    bad_edges.append(("monotone", x, y))
+                elif sizes[y] % sizes[x]:
+                    bad_edges.append(("divisibility", x, y))
+                else:
+                    multiplicity[y] = sizes[y] // sizes[x]
         comps.append(Component(
-            cells=a.cells, root=root, parent=parent, children=children,
-            multiplicity=multiplicity, heterogeneous=bool(a.het_cells),
+            cells=tuple(comp), root=root, parent=parent, children=children,
+            multiplicity=multiplicity, het_cells=het, is_tree=is_tree,
+            bad_edges=tuple(bad_edges),
         ))
     return AnisotropicForest(components=tuple(comps))

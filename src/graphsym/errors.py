@@ -45,32 +45,6 @@ class NotEquitable(GraphSymError, ValueError):
         self.cell = cell
 
 
-class NotATree(GraphSymError):
-    def __init__(self, component: int):
-        super().__init__(f"anisotropic component {component} is not a tree")
-        self.component = component
-
-
-class NotMonotone(GraphSymError):
-    def __init__(self, parent: int, child: int):
-        super().__init__(f"cell sizes decrease along edge {parent} -> {child}")
-        self.parent = parent
-        self.child = child
-
-
-class BadDivisibility(GraphSymError):
-    def __init__(self, parent: int, child: int):
-        super().__init__(f"parent cell {parent} size does not divide child cell {child} size")
-        self.parent = parent
-        self.child = child
-
-
-class MultipleHeterogeneous(GraphSymError):
-    def __init__(self, component: int):
-        super().__init__(f"anisotropic component {component} has more than one heterogeneous cell")
-        self.component = component
-
-
 class UnsupportedRootKind(GraphSymError):
     def __init__(self, cell: int, kind: str):
         super().__init__(f"root cell {cell} has unsupported kind {kind} (upstream amenability bug)")

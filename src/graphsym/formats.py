@@ -30,8 +30,6 @@ def parse_edge_list(text: str) -> tuple[Graph, ParseReport]:
     lines = text.splitlines()
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -50,21 +48,16 @@ def parse_edge_list(text: str) -> tuple[Graph, ParseReport]:
         if len(parts) != 2:
             raise BadEdgeList(lineno, f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise BadEdgeList(lineno, f"non-integer endpoints {line!r}") from None
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-            edges.append((u, v))
     if header is None:
         raise BadEdgeList(0, "missing 'n m' header")
     n, m = header
-    if len(edges) + duplicates != m:
-        raise BadEdgeList(0, f"header says {m} edges, found {len(edges) + duplicates}")
-    return from_edge_list(n, edges), ParseReport(duplicate_edges=duplicates)
+    if len(edges) != m:
+        raise BadEdgeList(0, f"header says {m} edges, found {len(edges)}")
+    g = from_edge_list(n, edges)  # deduplicates either orientation
+    return g, ParseReport(duplicate_edges=len(edges) - g.m)
 
 
 def format_edge_list(g: Graph) -> str:

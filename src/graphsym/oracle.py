@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import Sequence
 
 from .cells import CellKind, Component, PairKind, build_cell_graph
 from .errors import (
@@ -430,7 +431,7 @@ def _ahu_codes(t: RootedTree) -> list[tuple]:
     return codes
 
 
-def _postorder_tree(children: list[list[int]], root: int) -> list[int]:
+def _postorder_tree(children: Sequence[Sequence[int]], root: int) -> list[int]:
     out: list[int] = []
     stack = [(root, False)]
     while stack:
@@ -467,6 +468,29 @@ def tree_dist_count(t: RootedTree, c: int) -> int:
             acc *= comb(count[rep], mult)
         count[x] = acc
     return count[t.root]
+
+
+def leg_dist_count_exact(tree, c: int) -> int:
+    """Big-integer leg count over a cell tree (``sizes``, ``root``, ``children``).
+
+    The same recursion as the saturating count of the symmetry module, with
+    child cells as the classes and size ratios as multiplicities, evaluated
+    here exactly and without the fast path's code, so the two can be
+    compared.
+    """
+    if c < 1:
+        raise ValueError(f"color count must be positive, got {c}")
+    sizes, children = tree.sizes, tree.children
+    val = [0] * len(sizes)
+    for x in _postorder_tree(children, tree.root):
+        acc = c
+        for y in children[x]:
+            mult, rem = divmod(sizes[y], sizes[x])
+            if rem or mult < 1:
+                raise ValueError(f"cell sizes {sizes[x]} -> {sizes[y]} give no multiplicity")
+            acc *= comb(val[y], mult)
+        val[x] = acc
+    return val[tree.root]
 
 
 def tree_fix(t: RootedTree) -> int:

@@ -220,8 +220,9 @@ def stable_partition(g: Graph) -> Partition:
     return refine(g, Partition.unit(g.n))
 
 
-def is_equitable(g: Graph, p: Partition) -> bool:
-    """True iff all vertices of each cell have identical per-cell neighbor counts."""
+def first_deviation(g: Graph, p: Partition) -> tuple[int, int] | None:
+    """The first vertex, with its cell, whose per-cell neighbor counts differ
+    from those of the lowest vertex in its cell; None if p is equitable."""
     _check_initial(g, p)
     cell_of = p.cell_of
     reference: dict[int, dict[int, int]] = {}
@@ -236,8 +237,25 @@ def is_equitable(g: Graph, p: Partition) -> bool:
         if ref is None:
             reference[c] = dict(profile)
         elif ref != profile:
-            return False
-    return True
+            return v, c
+    return None
+
+
+def is_equitable(g: Graph, p: Partition) -> bool:
+    """True iff all vertices of each cell have identical per-cell neighbor counts."""
+    return first_deviation(g, p) is None
+
+
+def cr_partition(g: Graph, h: Graph) -> tuple[CrVerdict, Partition]:
+    """The CR verdict on g and h plus the stable partition of their disjoint
+    union, in which g's vertices keep their ids and h's follow them."""
+    union, _origin = disjoint_union(g, h)
+    p = stable_partition(union)
+    for i, cell in enumerate(p.cells):
+        from_g = sum(1 for v in cell if v < g.n)
+        if 2 * from_g != len(cell):
+            return CrVerdict(outcome=CrOutcome.DISTINGUISHED, witness_cell=i), p
+    return CrVerdict(outcome=CrOutcome.CR_EQUIVALENT), p
 
 
 def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
@@ -247,10 +265,4 @@ def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
     CrEquivalent is definitive only when at least one input is amenable;
     see the amenability module.
     """
-    union, origin = disjoint_union(g, h)
-    p = stable_partition(union)
-    for i, cell in enumerate(p.cells):
-        from_g = sum(1 for v in cell if origin[v][0] == 0)
-        if 2 * from_g != len(cell):
-            return CrVerdict(outcome=CrOutcome.DISTINGUISHED, witness_cell=i)
-    return CrVerdict(outcome=CrOutcome.CR_EQUIVALENT)
+    return cr_partition(g, h)[0]

@@ -5,15 +5,15 @@ component graph: the head invariants come from the root cell's kind and
 size, and the leg values come from postorder recursions over the component
 tree, with child cells as the isomorphism classes and multiplicities equal
 to the size ratios.  Counts are evaluated in saturating arithmetic capped
-just above the decision threshold so the linearithmic budget holds; an
-exact big-integer mode backs the soundness tests.
+just above the decision threshold so the linearithmic budget holds; the
+big-integer recursion that checks them lives in the oracle module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, isqrt
+from math import isqrt
 from typing import Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
@@ -203,20 +203,6 @@ def leg_dist_count(tree: CellTree, c: int, cap: int) -> SaturatingCount:
     return SaturatingCount(value=val[tree.root], cap=cap)
 
 
-def leg_dist_count_exact(tree: CellTree, c: int) -> int:
-    """Arbitrary-precision evaluation of the leg counting recursion."""
-    if c < 1:
-        raise ValueError(f"color count must be positive, got {c}")
-    val = [0] * tree.num_cells
-    for x in _postorder(tree.children, tree.root):
-        kids = tree.children[x]
-        acc = c
-        for y in kids:
-            acc *= comb(val[y], tree.multiplicity(x, y))
-        val[x] = acc
-    return val[tree.root]
-
-
 def leg_fix(tree: CellTree) -> int:
     """Fixing number of one leg, via the child-class recursion.
 
@@ -231,46 +217,6 @@ def leg_fix(tree: CellTree) -> int:
             total += (m - 1) if val[y] == 0 else m * val[y]
         val[x] = total
     return val[tree.root]
-
-
-def component_dist(cg: CellGraph, comp: Component, *, exact: bool = False) -> int:
-    """Distinguishing number of one component: least c whose leg count reaches D(head).
-
-    Binary search over [1, component size], justified by monotonicity of the
-    leg count in c.
-    """
-    head = head_of_component(cg, comp)
-    d_star, _ = head_invariants(head)
-    tree = CellTree.from_component(cg, comp)
-    n_i = tree.total_size
-    cap = d_star + n_i + 1
-
-    def reaches(c: int) -> bool:
-        if exact:
-            return leg_dist_count_exact(tree, c) >= d_star
-        return leg_dist_count(tree, c, cap).value >= d_star
-
-    lo, hi = 1, n_i
-    if not reaches(hi):
-        raise InternalError(
-            f"leg count below D(head) even with {hi} colors; component {comp.cells}"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def component_fix(cg: CellGraph, comp: Component) -> int:
-    """Fixing number of one component: Fix(head) when legs are rigid, else |head| * leg fix."""
-    head = head_of_component(cg, comp)
-    _, fix_head = head_invariants(head)
-    tree = CellTree.from_component(cg, comp)
-    legs = leg_fix(tree)
-    return fix_head if legs == 0 else head.size * legs
 
 
 @dataclass(frozen=True)
@@ -307,8 +253,51 @@ class SymmetryReport:
         }
 
 
-def analyze(g: Graph, *, exact: bool = False,
-            verdict: AmenabilityVerdict | None = None) -> SymmetryReport:
+def _least_colors(tree: CellTree, d_star: int) -> int:
+    """Least c whose leg count reaches d_star.
+
+    Binary search over [1, tree size], justified by monotonicity of the
+    leg count in c.
+    """
+    n_i = tree.total_size
+    cap = d_star + n_i + 1
+
+    def reaches(c: int) -> bool:
+        return leg_dist_count(tree, c, cap).value >= d_star
+
+    lo, hi = 1, n_i
+    if not reaches(hi):
+        raise InternalError(
+            f"leg count below D(head) = {d_star} even with {hi} colors"
+        )
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
+    """D and Fix of one component from its head and its leg tree.
+
+    D is the least c whose leg count reaches D(head); Fix is Fix(head) when
+    the legs are rigid, else |head| times the leg fixing number.
+    """
+    head = head_of_component(cg, comp)
+    d_head, fix_head = head_invariants(head)
+    tree = CellTree.from_component(cg, comp)
+    legs = leg_fix(tree)
+    return ComponentReport(
+        cells=comp.cells, root=comp.root, head=head,
+        d_head=d_head, fix_head=fix_head, leg_fix=legs,
+        dist=_least_colors(tree, d_head),
+        fix=fix_head if legs == 0 else head.size * legs,
+    )
+
+
+def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryReport:
     """Full per-component symmetry report for an amenable graph.
 
     Raises NotAmenable (carrying the verdict) otherwise.  A precomputed
@@ -322,18 +311,7 @@ def analyze(g: Graph, *, exact: bool = False,
         return SymmetryReport(dist_number=0, fix_number=0, components=())
     cg = verdict.cell_graph
     assert cg is not None
-    reports = []
-    for comp in verdict.components:
-        head = head_of_component(cg, comp)
-        d_head, fix_head = head_invariants(head)
-        tree = CellTree.from_component(cg, comp)
-        legs = leg_fix(tree)
-        reports.append(ComponentReport(
-            cells=comp.cells, root=comp.root, head=head,
-            d_head=d_head, fix_head=fix_head, leg_fix=legs,
-            dist=component_dist(cg, comp, exact=exact),
-            fix=fix_head if legs == 0 else head.size * legs,
-        ))
+    reports = [component_report(cg, comp) for comp in verdict.components]
     return SymmetryReport(
         dist_number=max(r.dist for r in reports),
         fix_number=sum(r.fix for r in reports),
@@ -341,9 +319,9 @@ def analyze(g: Graph, *, exact: bool = False,
     )
 
 
-def dist_number(g: Graph, *, exact: bool = False) -> int:
+def dist_number(g: Graph) -> int:
     """D(G) for amenable G; 0 and 1 vertex graphs return 0 and 1."""
-    return analyze(g, exact=exact).dist_number
+    return analyze(g).dist_number
 
 
 def fix_number(g: Graph) -> int:

@@ -156,3 +156,25 @@ def test_exact_under_amenability(seed, h):
         assert not truth
     else:  # amenable g makes the test exact, so this cannot happen
         raise AssertionError("amenable input returned a heuristic verdict")
+
+
+def test_amenable_iso_refines_once(monkeypatch):
+    from graphsym import refinement
+
+    g, _ = random_amenable(12, seed=3)
+    calls = []
+    core = refinement._refine_colors
+
+    def counted(adj, colors):
+        calls.append(len(colors))
+        return core(adj, colors)
+
+    monkeypatch.setattr(refinement, "_refine_colors", counted)
+    perm = list(range(g.n))[::-1]
+    assert amenable_iso(g, relabel(g, perm)) is IsoVerdict.ISOMORPHIC
+    assert calls == [2 * g.n]
+    calls.clear()
+    c3 = named("cn", 3)
+    two_c3, _ = disjoint_union(c3, c3)
+    assert amenable_iso(named("cn", 6), two_c3) is IsoVerdict.HEURISTIC_EQUIVALENT
+    assert calls == [12]

@@ -12,12 +12,7 @@ from graphsym import (
     from_edge_list,
     stable_partition,
 )
-from graphsym.errors import (
-    MultipleHeterogeneous,
-    NotATree,
-    NotEquitable,
-    NotMonotone,
-)
+from graphsym.errors import NotEquitable
 from graphsym.generators import CellNode, ComponentSpec, GraphSpec, generate, named
 
 from .conftest import graphs
@@ -112,7 +107,7 @@ def test_branched_component_multiplicities():
     ]
 
 
-def test_multiple_heterogeneous_raises():
+def test_multiple_heterogeneous_reported():
     # two matching cells joined by stars: both heterogeneous, one component
     edges = [(0, 1), (2, 3)]
     edges += [(2 * i, 2 * i + 1) for i in range(2, 6)]
@@ -121,8 +116,9 @@ def test_multiple_heterogeneous_raises():
     g = from_edge_list(12, edges)
     cg = cell_graph_of(g)
     assert cg.cell_kinds == (CellKind.MATCHING, CellKind.MATCHING)
-    with pytest.raises(MultipleHeterogeneous):
-        anisotropic_components(cg)
+    (comp,) = anisotropic_components(cg).components
+    assert comp.is_tree and comp.het_cells == (0, 1)
+    assert comp.findings() == [("D", "more than one heterogeneous cell", (0, 1))]
 
 
 def _star_cycle_graph():
@@ -135,23 +131,42 @@ def _star_cycle_graph():
     return from_edge_list(14, edges)
 
 
-def test_cyclic_anisotropic_component_raises():
+def test_cyclic_anisotropic_component_reported():
     g = _star_cycle_graph()
     cg = cell_graph_of(g)
     assert cg.partition.num_cells == 3
     assert all(kind is CellKind.EMPTY for kind in cg.cell_kinds)
-    with pytest.raises(NotATree):
-        anisotropic_components(cg)
+    (comp,) = anisotropic_components(cg).components
+    assert comp.cells == (0, 1, 2) and not comp.is_tree
+    assert comp.parent == {} and comp.multiplicity == {}
+    assert comp.findings() == [("C", "not a tree", (0, 1, 2))]
 
 
-def test_heterogeneous_rooting_surfaces_monotonicity():
-    # lone matching cell of non-minimal size: rooting at it breaks monotonicity
+def test_heterogeneous_cell_off_minimum_reported():
+    # lone matching cell of non-minimal size: the root stays at the minimum
     edges = [(2, 3), (4, 5), (0, 2), (0, 3), (1, 4), (1, 5)]
     for i, m in enumerate((2, 3, 4, 5)):
         edges += [(m, 6 + 2 * i), (m, 7 + 2 * i)]
     g = from_edge_list(14, edges)
-    with pytest.raises(NotMonotone):
-        anisotropic_components(cell_graph_of(g))
+    cg = cell_graph_of(g)
+    (comp,) = anisotropic_components(cg).components
+    assert cg.cell_sizes[comp.root] == 2 and not cg.is_heterogeneous(comp.root)
+    het = comp.het_cells[0]
+    assert cg.cell_kinds[het] is CellKind.MATCHING and cg.cell_sizes[het] == 4
+    assert comp.is_tree and comp.bad_edges == ()
+    assert comp.findings() == [("D", "heterogeneous cell is not of minimum size", (het,))]
+
+
+def test_decreasing_sizes_reported():
+    # A(2) -> B(6) -> C(3) by star joins: from the minimum root, B to C shrinks
+    edges = [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
+    edges += [(8, 2), (8, 3), (9, 4), (9, 5), (10, 6), (10, 7)]
+    cg = cell_graph_of(from_edge_list(11, edges))
+    assert cg.cell_sizes == (2, 6, 3)
+    (comp,) = anisotropic_components(cg).components
+    assert comp.root == 0 and comp.parent == {1: 0, 2: 1}
+    assert comp.multiplicity == {1: 3} and comp.bad_edges == (("monotone", 1, 2),)
+    assert comp.findings() == [("C", "cell sizes decrease along 1 -> 2", (1, 2))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,11 +183,8 @@ def test_double_counting_identity(g):
 @given(graphs())
 def test_multiplicities_positive_and_consistent(g):
     cg = cell_graph_of(g)
-    try:
-        forest = anisotropic_components(cg)
-    except Exception:
-        return  # structure checks are exercised elsewhere
-    for comp in forest.components:
+    for comp in anisotropic_components(cg).components:
+        assert set(comp.multiplicity) | {c for _, _, c in comp.bad_edges} == set(comp.parent)
         for child, m in comp.multiplicity.items():
             parent = comp.parent[child]
             assert m >= 1

@@ -143,5 +143,18 @@ def test_missing_file_is_io_error(capsys):
 def test_bench_smoke(capsys):
     assert run(["bench", "--sizes", "1000,2000", "--seed", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,m,refine_s,dist_s,fix_s"
+    assert lines[0] == "n,m,refine_s,amenable_s,symmetry_s"
     assert len(lines) == 3
+
+
+def test_cells_reports_non_tree_component(tmp_path, capsys):
+    from .test_cells import _star_cycle_graph
+
+    path = tmp_path / "cycle.txt"
+    path.write_text(format_edge_list(_star_cycle_graph()))
+    assert run(["--json", "cells", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["size"] for c in payload["cells"]] == [2, 4, 8]
+    (comp,) = payload["components"]
+    assert comp["cells"] == [0, 1, 2] and comp["parents"] == {}
+    assert comp["findings"] == [{"condition": "C", "reason": "not a tree", "cells": [0, 1, 2]}]
