@@ -142,7 +142,6 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     verdict, p = cr_partition(g, h)
     if verdict.outcome is CrOutcome.DISTINGUISHED:
         return IsoVerdict.NOT_ISOMORPHIC
-    own = p.restrict(range(g.n), {v: v for v in range(g.n)})
-    if _judge(g, own).amenable:
+    if _judge(g, Partition.from_colors(p.cell_of[:g.n])).amenable:
         return IsoVerdict.ISOMORPHIC
     return IsoVerdict.HEURISTIC_EQUIVALENT

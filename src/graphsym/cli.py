@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse/IO or usage errors, 2 NotAmenable or TooLarge.
-With --json every result and error is a single JSON object on stdout.
+Exit codes: 0 success; 1 parse/IO or usage errors, including BadSpec for a
+malformed ``gen spec`` file; 2 NotAmenable or TooLarge; 3 InternalError, a
+bug in graphsym reported in place of a traceback.  With --json every result
+and error is a single JSON object on stdout.
+
+Each command imports the modules it runs when it runs, so an answer does
+not pay for loading the symmetry, oracle or generator code it never uses.
 """
 
 from __future__ import annotations
@@ -10,19 +15,19 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
-from . import generators, oracle
 from .amenability import amenable_iso, check_amenable
 from .cells import anisotropic_components, cell_graph_of_equitable
-from .errors import GraphSymError, NotAmenable, TooLarge
+from .errors import BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge
 from .formats import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graph import Graph
 from .refinement import stable_partition
-from .symmetry import analyze
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_REFUSED = 2  # NotAmenable or TooLarge
+EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
 
 
 def _read_text(path: str) -> str:
@@ -86,6 +91,8 @@ def _cmd_amenable(args) -> int:
 
 
 def _symmetry_command(args, field: str) -> int:
+    from .symmetry import analyze
+
     g = _load_graph(args.graph, args.format)
     try:
         report = analyze(g)
@@ -116,8 +123,12 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     g = _load_graph(args.graph, args.format)
     limit = args.max_oracle_n
+    if limit is None:
+        limit = oracle.SEARCH_LIMIT_DEFAULT
     try:
         if args.op == "aut":
             group = oracle.automorphisms(g, limit_n=limit)
@@ -145,19 +156,38 @@ def _write_graph(args, g: Graph) -> None:
             fh.write(text)
 
 
+def _load_spec(text: str):
+    """Decode a JSON component spec; any malformed input raises BadSpec."""
+    from .generators import GraphSpec
+
+    try:
+        return GraphSpec.from_json(json.loads(text))
+    except BadSpec:
+        raise
+    except RecursionError as exc:
+        raise BadSpec("nested too deeply") from exc
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise BadSpec(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _cmd_gen(args) -> int:
+    from . import generators
+
     if args.source == "named":
         g = generators.named(args.family, *[int(p) for p in args.params])
     elif args.source == "random":
         g, _partition = generators.random_amenable(args.n, seed=args.seed)
     else:  # spec
-        spec = generators.GraphSpec.from_json(json.loads(_read_text(args.spec_file)))
+        spec = _load_spec(_read_text(args.spec_file))
         g, _partition = generators.generate(spec, seed=args.seed)
     _write_graph(args, g)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
+    from . import generators
+    from .symmetry import analyze
+
     sizes = [int(s) for s in args.sizes.split(",")]
     print("n,m,refine_s,amenable_s,symmetry_s", flush=True)
     prev_total = None
@@ -219,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["aut", "dist", "fix", "count"])
     p.add_argument("graph")
     p.add_argument("--format", choices=["edgelist", "graph6"])
-    p.add_argument("--max-oracle-n", type=int, default=oracle.SEARCH_LIMIT_DEFAULT,
+    p.add_argument("--max-oracle-n", type=int,
                    help="size guard for exhaustive search")
     p.add_argument("-c", "--colors", type=int, default=2, help="colors for count")
     p.set_defaults(func=_cmd_oracle)
@@ -254,8 +284,16 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (NotAmenable, TooLarge) as exc:
         return _fail(args, exc, EXIT_REFUSED)
+    except InternalError as exc:
+        return _fail(args, exc, EXIT_INTERNAL)
     except (OSError, GraphSymError) as exc:
         return _fail(args, exc, EXIT_IO)
+    except Exception as exc:  # a bug: report it with where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        bug = InternalError(
+            f"{type(exc).__name__}: {exc} (in {where.name}, {where.filename}:{where.lineno})"
+        )
+        return _fail(args, bug, EXIT_INTERNAL)
 
 
 def main() -> None:

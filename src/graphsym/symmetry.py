@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
 from .cells import CellGraph, CellKind, Component
@@ -114,7 +114,9 @@ class CellTree:
         return cls(sizes=sizes, root=local[comp.root], children=children)
 
 
-def _postorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
+def _postorder(
+    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]], root: int
+) -> list[int]:
     out: list[int] = []
     stack: list[tuple[int, bool]] = [(root, False)]
     while stack:
@@ -297,11 +299,30 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
     )
 
 
+def _shape_key(
+    cg: CellGraph, comp: Component, ids: dict[tuple[int, tuple[int, ...]], int]
+) -> tuple[CellKind, int]:
+    """What component_report depends on: the root cell's kind plus an AHU id
+    (Aho, Hopcroft and Ullman 1974) of the size-labelled rooted tree.
+
+    ``ids`` interns ``(size, sorted child ids)`` per cell, so equal ids mean
+    isomorphic size-labelled subtrees, and keys stay flat however deep the
+    tree: nothing recurses, in Python or in tuple hashing.
+    """
+    sizes, children = cg.cell_sizes, comp.children
+    label: dict[int, int] = {}
+    for x in _postorder(children, comp.root):
+        shape = (sizes[x], tuple(sorted([label[y] for y in children[x]])))
+        label[x] = ids.setdefault(shape, len(ids))
+    return cg.cell_kinds[comp.root], label[comp.root]
+
+
 def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryReport:
     """Full per-component symmetry report for an amenable graph.
 
     Raises NotAmenable (carrying the verdict) otherwise.  A precomputed
-    verdict may be passed to avoid re-running recognition.
+    verdict may be passed to avoid re-running recognition.  Components of
+    one shape share D and Fix, so each shape is computed once per call.
     """
     if verdict is None:
         verdict = check_amenable(g)
@@ -311,7 +332,21 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
         return SymmetryReport(dist_number=0, fix_number=0, components=())
     cg = verdict.cell_graph
     assert cg is not None
-    reports = [component_report(cg, comp) for comp in verdict.components]
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    memo: dict[tuple[CellKind, int], ComponentReport] = {}
+    reports = []
+    for comp in verdict.components:
+        key = _shape_key(cg, comp, ids)
+        cached = memo.get(key)
+        if cached is None:
+            report = memo[key] = component_report(cg, comp)
+        else:
+            report = ComponentReport(
+                cells=comp.cells, root=comp.root, head=cached.head,
+                d_head=cached.d_head, fix_head=cached.fix_head,
+                leg_fix=cached.leg_fix, dist=cached.dist, fix=cached.fix,
+            )
+        reports.append(report)
     return SymmetryReport(
         dist_number=max(r.dist for r in reports),
         fix_number=sum(r.fix for r in reports),

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphsym
 from graphsym.cli import run
 from graphsym.formats import format_edge_list, parse_edge_list
 from graphsym.generators import named
@@ -158,3 +162,71 @@ def test_cells_reports_non_tree_component(tmp_path, capsys):
     (comp,) = payload["components"]
     assert comp["cells"] == [0, 1, 2] and comp["parents"] == {}
     assert comp["findings"] == [{"condition": "C", "reason": "not a tree", "cells": [0, 1, 2]}]
+
+
+def _nested_spec(depth: int) -> str:
+    tree = '{"size": 1}'
+    for _ in range(depth - 1):
+        tree = '{"size": 1, "children": [' + tree + ']}'
+    return '{"components": [{"head": "complete", "tree": ' + tree + '}]}'
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    '{"components": [{"head": "complete"}]}',
+    _nested_spec(600),
+], ids=["truncated", "no_tree", "nested_600"])
+def test_gen_spec_malformed_is_bad_spec(tmp_path, capsys, text):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    assert run(["--json", "gen", "spec", str(spec_file)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "BadSpec"
+
+
+def test_oracle_recursion_is_internal_error(tmp_path, capsys):
+    path = tmp_path / "p5000.txt"
+    path.write_text(format_edge_list(named("pn", 5000)))
+    assert run(["--json", "oracle", "aut", str(path), "--max-oracle-n", "100000"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "InternalError"
+    assert payload["message"].startswith("RecursionError")
+
+
+def test_internal_error_exit_code(fig1_file, capsys, monkeypatch):
+    from graphsym import cli
+    from graphsym.errors import InternalError
+
+    def broken(_g):
+        raise InternalError("invariant violated")
+
+    monkeypatch.setattr(cli, "check_amenable", broken)
+    assert run(["--json", "amenable", fig1_file]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InternalError", "message": "invariant violated"}
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from graphsym.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("graphsym."))]))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(fig1_file):
+    src = os.path.dirname(os.path.dirname(graphsym.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        return set(modules)
+
+    base = loaded()
+    assert not base & {"graphsym.oracle", "graphsym.generators", "graphsym.symmetry"}
+    assert loaded("amenable", fig1_file) == base
+    assert loaded("iso", fig1_file, fig1_file) == base
+    assert loaded("dist", fig1_file) == base | {"graphsym.symmetry"}

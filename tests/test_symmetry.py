@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsym import (
+    CellGraph,
+    CellKind,
     CellTree,
+    Component,
     HeadKind,
     HeadShape,
+    Partition,
     analyze,
     check_amenable,
     complement,
     component_report,
     dist_number,
     fix_number,
+    from_edge_list,
     head_invariants,
     head_of_component,
     leg_dist_count,
@@ -21,6 +28,7 @@ from graphsym import (
     min_c_binom,
     oracle,
 )
+from graphsym import symmetry
 from graphsym.errors import BadCap, NotAmenable
 from graphsym.generators import named, random_amenable
 
@@ -227,3 +235,54 @@ def test_complement_pairs_agree(g):
 def test_dist_at_most_fix_plus_one(seed):
     g, _ = random_amenable(12, seed=seed)
     assert dist_number(g) <= fix_number(g) + 1
+
+
+def test_analyze_reports_each_shape_once(monkeypatch):
+    rng = random.Random(5)
+    g = from_edge_list(400, [(v, rng.randrange(v)) for v in range(1, 400)])
+    verdict = check_amenable(g)
+    cg = verdict.cell_graph
+
+    def shape(comp):
+        def canon(x):
+            return (cg.cell_sizes[x], tuple(sorted(canon(y) for y in comp.children[x])))
+
+        return cg.cell_kinds[comp.root], canon(comp.root)
+
+    shapes = {shape(comp) for comp in verdict.components}
+    assert len(shapes) < len(verdict.components)
+    calls = []
+
+    def counted(cg_, comp):
+        calls.append(comp.root)
+        return component_report(cg_, comp)
+
+    monkeypatch.setattr(symmetry, "component_report", counted)
+    report = analyze(g, verdict=verdict)
+    assert len(calls) == len(shapes)
+    assert list(report.components) == [component_report(cg, c) for c in verdict.components]
+
+
+def test_shape_key_of_a_deep_path_is_flat():
+    # A path's stable partition is one component of n/2 cells; build one of
+    # 200k cells directly, without refinement.
+    n = 200_000
+    comp = Component(
+        cells=tuple(range(n)), root=0,
+        parent={x + 1: x for x in range(n - 1)},
+        children={x: (x + 1,) if x + 1 < n else () for x in range(n)},
+        multiplicity={x: 1 for x in range(1, n)},
+    )
+    cg = CellGraph(
+        partition=Partition.unit(2 * n), cell_sizes=(2,) * n, d={},
+        cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_classes={},
+    )
+    ids: dict = {}
+    key = symmetry._shape_key(cg, comp, ids)
+    assert key == (CellKind.COMPLETE, n - 1) and len(ids) == n
+    assert {key: 1}[symmetry._shape_key(cg, comp, ids)] == 1 and len(ids) == n
+
+
+def test_long_path():
+    report = analyze(named("pn", 20000))
+    assert (report.dist_number, report.fix_number) == (2, 1)
