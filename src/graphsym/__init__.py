@@ -11,8 +11,8 @@ from importlib import import_module
 _EXPORTS = {
     "amenability": ("AmenabilityVerdict", "IsoVerdict", "amenable_iso", "check_amenable"),
     "cells": (
-        "AnisotropicForest", "CellGraph", "CellKind", "Component", "PairKind",
-        "anisotropic_components", "build_cell_graph",
+        "CellGraph", "CellKind", "Component", "PairKind", "anisotropic_components",
+        "build_cell_graph",
     ),
     "graph": (
         "Graph", "complement", "disjoint_union", "from_edge_list",
@@ -27,10 +27,9 @@ _EXPORTS = {
         "refine", "stable_partition",
     ),
     "symmetry": (
-        "CellTree", "HeadKind", "HeadShape", "SaturatingCount", "SymmetryReport",
-        "analyze", "component_report", "dist_number", "fix_number",
-        "head_invariants", "head_of_component", "leg_dist_count", "leg_fix",
-        "min_c_binom",
+        "HeadKind", "HeadShape", "SymmetryReport", "analyze", "component_report",
+        "dist_number", "fix_number", "head_invariants", "head_of_component",
+        "leg_dist_count", "leg_fix", "min_c_binom",
     ),
 }
 _SUBMODULES = ("errors", "generators", "oracle")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cells import (
-    AnisotropicForest,
     CellGraph,
     CellKind,
     Component,
@@ -65,21 +64,15 @@ class Failure:
 class AmenabilityVerdict:
     amenable: bool
     cell_graph: CellGraph | None = None
-    forest: AnisotropicForest | None = None
+    components: tuple[Component, ...] | None = None  # None unless amenable
     failure: Failure | None = None
-
-    @property
-    def components(self) -> tuple[Component, ...]:
-        if self.forest is None:
-            raise ValueError("verdict has no structure (graph is not amenable)")
-        return self.forest.components
 
     def to_json(self) -> dict:
         out: dict = {"amenable": self.amenable}
         if self.failure is not None:
             out["failure"] = self.failure.to_json()
-        if self.forest is not None:
-            out["components"] = [c.to_json() for c in self.forest.components]
+        if self.components is not None:
+            out["components"] = [c.to_json() for c in self.components]
         return out
 
 
@@ -108,9 +101,9 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
                 amenable=False, failure=Failure(condition=Condition.B, pair=(i, j))
             )
 
-    forest = anisotropic_components(cg)
+    components = anisotropic_components(cg)
     findings = [(cond, idx, reason)
-                for idx, comp in enumerate(forest.components)
+                for idx, comp in enumerate(components)
                 for cond, reason, _cells in comp.findings()]
     if findings:
         cond, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
@@ -118,7 +111,7 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
             amenable=False,
             failure=Failure(condition=Condition(cond), component=idx, reason=reason),
         )
-    return AmenabilityVerdict(amenable=True, cell_graph=cg, forest=forest)
+    return AmenabilityVerdict(amenable=True, cell_graph=cg, components=components)
 
 
 class IsoVerdict(Enum):

@@ -151,14 +151,6 @@ class Component:
         return out
 
 
-@dataclass(frozen=True)
-class AnisotropicForest:
-    components: tuple[Component, ...]
-
-    def to_json(self) -> dict:
-        return {"components": [c.to_json() for c in self.components]}
-
-
 def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
     """Compute degree constants and classify cells and pairs.
 
@@ -231,7 +223,7 @@ def _classify_pair(i: int, j: int, si: int, sj: int, dij: int, dji: int) -> Pair
     return PairClass(kind=PairKind.OTHER)
 
 
-def anisotropic_components(cg: CellGraph) -> AnisotropicForest:
+def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
     """Connected components of the anisotropic pairs, rooted and checked.
 
     Components are ordered by lowest cell id.  Structural problems are
@@ -290,4 +282,4 @@ def anisotropic_components(cg: CellGraph) -> AnisotropicForest:
             multiplicity=multiplicity, het_cells=het, is_tree=is_tree,
             bad_edges=tuple(bad_edges),
         ))
-    return AnisotropicForest(components=tuple(comps))
+    return tuple(comps)

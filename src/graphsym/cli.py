@@ -19,7 +19,9 @@ import traceback
 
 from .amenability import amenable_iso, check_amenable
 from .cells import anisotropic_components, cell_graph_of_equitable
-from .errors import BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge
+from .errors import (
+    BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge, UsageError,
+)
 from .formats import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graph import Graph
 from .refinement import stable_partition
@@ -75,9 +77,8 @@ def _cmd_refine(args) -> int:
 def _cmd_cells(args) -> int:
     g = _load_graph(args.graph, args.format)
     cg = cell_graph_of_equitable(g, stable_partition(g))
-    forest = anisotropic_components(cg)
     payload = cg.to_json()
-    payload["components"] = forest.to_json()["components"]
+    payload["components"] = [c.to_json() for c in anisotropic_components(cg)]
     _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -215,8 +216,15 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(self.prog, message, self.format_usage())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphsym",
         description="Color refinement, amenability, distinguishing and fixing numbers.",
     )
@@ -278,8 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        args = argparse.Namespace(json="--json" in argv)
+        if not args.json:
+            sys.stderr.write(exc.usage)
+        return _fail(args, exc, EXIT_IO)
     try:
         return args.func(args)
     except (NotAmenable, TooLarge) as exc:

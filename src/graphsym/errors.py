@@ -102,3 +102,11 @@ class BudgetExhausted(GraphSymError):
 
 class InternalError(GraphSymError):
     """An invariant the algorithms rely on was violated; always a bug."""
+
+
+class UsageError(GraphSymError):
+    """The command line did not parse; ``usage`` is the synopsis to show."""
+
+    def __init__(self, prog: str, message: str, usage: str):
+        super().__init__(f"{prog}: {message}")
+        self.usage = usage

@@ -10,7 +10,7 @@ simply re-runs refinement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParams, BadSpec, BudgetExhausted
 from .graph import Graph, from_edge_list
@@ -295,25 +295,19 @@ def _require(cond: bool, message: str) -> None:
 # --------------------------------------------------------- random instances
 
 
-@dataclass
-class ShapeParams:
-    """Knobs for the random sampler; defaults keep oracle cross-checks cheap."""
-
-    max_components: int = 3
-    max_root_size: int = 4
-    max_depth: int = 2
-    multiplicities: tuple[int, ...] = (1, 2, 3)
-    max_children: int = 2
-    wire_prob: float = 0.35
-    head_weights: dict = field(default_factory=lambda: {
-        "empty": 4, "complete": 3, "matching": 2, "co_matching": 1, "five_cycle": 1,
-    })
-    attempts: int = 300
+# Shape of the random sampler's draws, small enough that oracle cross-checks
+# stay cheap, and how many draws random_amenable makes before giving up.
+_MAX_COMPONENTS = 3
+_MAX_ROOT_SIZE = 4
+_MAX_DEPTH = 2
+_MULTIPLICITIES = (1, 2, 3)
+_MAX_CHILDREN = 2
+_WIRE_PROB = 0.35
+_HEAD_WEIGHTS = {"empty": 4, "complete": 3, "matching": 2, "co_matching": 1, "five_cycle": 1}
+_ATTEMPTS = 300
 
 
-def random_amenable(
-    n_target: int, params: ShapeParams | None = None, seed: int = 0
-) -> tuple[Graph, Partition]:
+def random_amenable(n_target: int, seed: int = 0) -> tuple[Graph, Partition]:
     """Sample spec shapes until one validates; deterministic per seed.
 
     The result has at most n_target + 2 vertices.  Raises BudgetExhausted
@@ -321,31 +315,28 @@ def random_amenable(
     """
     if n_target < 1:
         raise BadParams(f"n_target must be >= 1, got {n_target}")
-    params = params or ShapeParams()
     rng = random.Random(seed)
     cap = n_target + 2
-    for attempt in range(params.attempts):
-        spec = _sample_spec(rng, n_target, cap, params)
+    for _ in range(_ATTEMPTS):
+        spec = _sample_spec(rng, n_target, cap)
         if spec is None:
             continue
         g, intended = generate(spec, seed=rng.randrange(1 << 30))
         if validate_spec(g, intended):
             return g, intended
-    raise BudgetExhausted(params.attempts)
+    raise BudgetExhausted(_ATTEMPTS)
 
 
-def _sample_spec(
-    rng: random.Random, n_target: int, cap: int, params: ShapeParams
-) -> GraphSpec | None:
+def _sample_spec(rng: random.Random, n_target: int, cap: int) -> GraphSpec | None:
     if n_target >= 256:  # past what varied small shapes can fill
         return _sample_big_spec(rng, n_target)
-    heads = list(params.head_weights)
-    weights = [params.head_weights[h] for h in heads]
+    heads = list(_HEAD_WEIGHTS)
+    weights = list(_HEAD_WEIGHTS.values())
     comps: list[ComponentSpec] = []
     keys: set[tuple] = set()
     total = 0
     budget = rng.randint(max(1, n_target // 2), n_target)
-    n_comps = rng.randint(1, params.max_components)
+    n_comps = rng.randint(1, _MAX_COMPONENTS)
     for _ in range(n_comps):
         remaining = cap - total
         if remaining < 1:
@@ -354,12 +345,12 @@ def _sample_spec(
         if head == "five_cycle":
             root_size = 5
         elif head in ("matching", "co_matching"):
-            root_size = 2 * rng.randint(2, max(2, params.max_root_size // 2))
+            root_size = 2 * rng.randint(2, max(2, _MAX_ROOT_SIZE // 2))
         else:
-            root_size = rng.randint(1, params.max_root_size)
+            root_size = rng.randint(1, _MAX_ROOT_SIZE)
         if root_size > remaining:
             continue
-        tree = _sample_tree(rng, root_size, remaining, params, depth=0)
+        tree = _sample_tree(rng, root_size, remaining, depth=0)
         if tree is None:
             continue
         candidate = ComponentSpec(head=head, tree=tree)
@@ -375,7 +366,7 @@ def _sample_spec(
     wiring: list[Wiring] = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            if rng.random() < params.wire_prob:
+            if rng.random() < _WIRE_PROB:
                 wiring.append(Wiring(
                     comp_a=i, cell_a=rng.randrange(comps[i].tree.num_cells()),
                     comp_b=j, cell_b=rng.randrange(comps[j].tree.num_cells()),
@@ -419,19 +410,17 @@ def _sample_big_spec(rng: random.Random, n_target: int) -> GraphSpec:
     return GraphSpec(components=tuple(comps))
 
 
-def _sample_tree(
-    rng: random.Random, size: int, budget: int, params: ShapeParams, depth: int
-) -> CellNode | None:
+def _sample_tree(rng: random.Random, size: int, budget: int, depth: int) -> CellNode | None:
     if size > budget:
         return None
     remaining = budget - size
     children: list[CellNode] = []
-    if depth < params.max_depth and remaining > 0:
-        n_children = rng.randint(0, params.max_children)
-        mults = [m for m in params.multiplicities if m * size <= remaining]
+    if depth < _MAX_DEPTH and remaining > 0:
+        n_children = rng.randint(0, _MAX_CHILDREN)
+        mults = [m for m in _MULTIPLICITIES if m * size <= remaining]
         rng.shuffle(mults)
         for m in mults[:n_children]:  # distinct multiplicities keep siblings split
-            child = _sample_tree(rng, m * size, remaining, params, depth + 1)
+            child = _sample_tree(rng, m * size, remaining, depth + 1)
             if child is not None and child.total_size() <= remaining:
                 children.append(child)
                 remaining -= child.total_size()

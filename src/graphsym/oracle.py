@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .cells import CellKind, Component, PairKind, build_cell_graph
 from .errors import (
@@ -199,8 +199,10 @@ def is_rigid(g: Graph, p: Partition | None = None) -> bool:
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """An isomorphism g -> h by exhaustive backtracking, or None.
 
-    Encoded as automorphism search on the disjoint union with the two sides
-    swapped by construction: map vertex v of g to image[v] - g.n.
+    Vertices of g are taken in order of decreasing degree; each is tried
+    against the unused vertices of h with the same degree, and a candidate
+    is kept only if it is adjacent to exactly the images of g's already
+    mapped neighbours.  ``image[v]`` is the vertex of h that v maps to.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
@@ -431,7 +433,9 @@ def _ahu_codes(t: RootedTree) -> list[tuple]:
     return codes
 
 
-def _postorder_tree(children: Sequence[Sequence[int]], root: int) -> list[int]:
+def _postorder_tree(
+    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]], root: int
+) -> list[int]:
     out: list[int] = []
     stack = [(root, False)]
     while stack:
@@ -470,19 +474,21 @@ def tree_dist_count(t: RootedTree, c: int) -> int:
     return count[t.root]
 
 
-def leg_dist_count_exact(tree, c: int) -> int:
-    """Big-integer leg count over a cell tree (``sizes``, ``root``, ``children``).
+def leg_dist_count_exact(sizes: Sequence[int], comp: Component, c: int) -> int:
+    """Big-integer leg count over a component's tree, with ``sizes`` the cell
+    sizes of its cell graph.
 
     The same recursion as the saturating count of the symmetry module, with
     child cells as the classes and size ratios as multiplicities, evaluated
     here exactly and without the fast path's code, so the two can be
-    compared.
+    compared: multiplicities are recomputed from ``sizes`` rather than read
+    from ``comp.multiplicity``.
     """
     if c < 1:
         raise ValueError(f"color count must be positive, got {c}")
-    sizes, children = tree.sizes, tree.children
-    val = [0] * len(sizes)
-    for x in _postorder_tree(children, tree.root):
+    children = comp.children
+    val: dict[int, int] = {}
+    for x in _postorder_tree(children, comp.root):
         acc = c
         for y in children[x]:
             mult, rem = divmod(sizes[y], sizes[x])
@@ -490,7 +496,7 @@ def leg_dist_count_exact(tree, c: int) -> int:
                 raise ValueError(f"cell sizes {sizes[x]} -> {sizes[y]} give no multiplicity")
             acc *= comb(val[y], mult)
         val[x] = acc
-    return val[tree.root]
+    return val[comp.root]
 
 
 def tree_fix(t: RootedTree) -> int:

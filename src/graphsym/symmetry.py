@@ -2,11 +2,12 @@
 
 Per anisotropic component the computation never materializes the modified
 component graph: the head invariants come from the root cell's kind and
-size, and the leg values come from postorder recursions over the component
-tree, with child cells as the isomorphism classes and multiplicities equal
-to the size ratios.  Counts are evaluated in saturating arithmetic capped
-just above the decision threshold so the linearithmic budget holds; the
-big-integer recursion that checks them lives in the oracle module.
+size, and the leg values come from postorder recursions over the tree that
+recognition stored on the Component, with child cells as the isomorphism
+classes and multiplicities equal to the size ratios recorded there.  Counts
+are evaluated in saturating arithmetic capped just above the decision
+threshold so the linearithmic budget holds; the big-integer recursion that
+checks them lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -52,71 +53,7 @@ class HeadKind:
         return {"shape": self.shape.value, "size": self.size}
 
 
-@dataclass(frozen=True)
-class SaturatingCount:
-    """A count clamped at ``cap``; value == cap means the true count is >= cap."""
-
-    value: int
-    cap: int
-
-    @property
-    def saturated(self) -> bool:
-        return self.value == self.cap
-
-
-@dataclass(frozen=True)
-class CellTree:
-    """Rooted tree of cells with sizes: the shape one leg recursion runs over."""
-
-    sizes: tuple[int, ...]
-    root: int
-    children: tuple[tuple[int, ...], ...]
-
-    @property
-    def total_size(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def num_cells(self) -> int:
-        return len(self.sizes)
-
-    def multiplicity(self, parent: int, child: int) -> int:
-        sp, sc = self.sizes[parent], self.sizes[child]
-        if sc < sp or sc % sp:
-            raise InternalError(f"bad multiplicity {sc}/{sp} on tree edge")
-        return sc // sp
-
-    @classmethod
-    def from_nested(cls, nested: tuple) -> "CellTree":
-        """Build from ``(size, [child, ...])`` nests; ids are assigned preorder."""
-        sizes: list[int] = []
-        children: list[tuple[int, ...]] = []
-
-        def walk(node: tuple) -> int:
-            size, kids = node
-            idx = len(sizes)
-            sizes.append(size)
-            children.append(())
-            children[idx] = tuple(walk(kid) for kid in kids)
-            return idx
-
-        walk(nested)
-        return cls(sizes=tuple(sizes), root=0, children=tuple(children))
-
-    @classmethod
-    def from_component(cls, cg: CellGraph, comp: Component) -> "CellTree":
-        local = {cell: i for i, cell in enumerate(comp.cells)}
-        sizes = tuple(cg.cell_sizes[cell] for cell in comp.cells)
-        children = tuple(
-            tuple(local[y] for y in comp.children.get(cell, ()))
-            for cell in comp.cells
-        )
-        return cls(sizes=sizes, root=local[comp.root], children=children)
-
-
-def _postorder(
-    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]], root: int
-) -> list[int]:
+def _postorder(children: Mapping[int, Sequence[int]], root: int) -> list[int]:
     out: list[int] = []
     stack: list[tuple[int, bool]] = [(root, False)]
     while stack:
@@ -181,44 +118,45 @@ def head_invariants(head: HeadKind) -> tuple[int, int]:
     return min_c_binom(head.r), head.r
 
 
-def leg_dist_count(tree: CellTree, c: int, cap: int) -> SaturatingCount:
+def leg_dist_count(sizes: Sequence[int], comp: Component, c: int, cap: int) -> int:
     """Number of inequivalent distinguishing leg labelings with <= c colors.
 
-    Saturating evaluation: every intermediate is clamped at cap.  The
-    returned value is exact when below cap; with cap > d* + total cell
-    count, the predicate (true count >= d*) is decided exactly.
+    ``sizes`` are the cell sizes of the cell graph holding ``comp``.
+    Saturating evaluation: every intermediate is clamped at cap, so the
+    result equals cap exactly when the true count is at least cap.  With
+    cap > d* + the component's vertex count, the predicate (true count >= d*)
+    is decided exactly.
     """
-    if cap <= tree.total_size:
-        raise BadCap(cap, tree.total_size)
+    total = sum(sizes[x] for x in comp.cells)
+    if cap <= total:
+        raise BadCap(cap, total)
     if c < 1:
         raise ValueError(f"color count must be positive, got {c}")
-    val = [0] * tree.num_cells
-    for x in _postorder(tree.children, tree.root):
-        kids = tree.children[x]
-        if not kids:
-            val[x] = min(c, cap)
-            continue
+    children, mult = comp.children, comp.multiplicity
+    val: dict[int, int] = {}
+    for x in _postorder(children, comp.root):
         acc = min(c, cap)
-        for y in kids:
-            acc = min(acc * _binom_capped(val[y], tree.multiplicity(x, y), cap), cap)
+        for y in children[x]:
+            acc = min(acc * _binom_capped(val[y], mult[y], cap), cap)
         val[x] = acc
-    return SaturatingCount(value=val[tree.root], cap=cap)
+    return val[comp.root]
 
 
-def leg_fix(tree: CellTree) -> int:
+def leg_fix(comp: Component) -> int:
     """Fixing number of one leg, via the child-class recursion.
 
     Leaves cost nothing; a class of m rigid children costs m - 1, and a
     class of m non-rigid children costs m times the child cost.
     """
-    val = [0] * tree.num_cells
-    for x in _postorder(tree.children, tree.root):
+    children, mult = comp.children, comp.multiplicity
+    val: dict[int, int] = {}
+    for x in _postorder(children, comp.root):
         total = 0
-        for y in tree.children[x]:
-            m = tree.multiplicity(x, y)
+        for y in children[x]:
+            m = mult[y]
             total += (m - 1) if val[y] == 0 else m * val[y]
         val[x] = total
-    return val[tree.root]
+    return val[comp.root]
 
 
 @dataclass(frozen=True)
@@ -255,17 +193,17 @@ class SymmetryReport:
         }
 
 
-def _least_colors(tree: CellTree, d_star: int) -> int:
+def _least_colors(sizes: Sequence[int], comp: Component, d_star: int) -> int:
     """Least c whose leg count reaches d_star.
 
-    Binary search over [1, tree size], justified by monotonicity of the
-    leg count in c.
+    Binary search over [1, component size], justified by monotonicity of
+    the leg count in c.
     """
-    n_i = tree.total_size
+    n_i = sum(sizes[x] for x in comp.cells)
     cap = d_star + n_i + 1
 
     def reaches(c: int) -> bool:
-        return leg_dist_count(tree, c, cap).value >= d_star
+        return leg_dist_count(sizes, comp, c, cap) >= d_star
 
     lo, hi = 1, n_i
     if not reaches(hi):
@@ -285,16 +223,20 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
     """D and Fix of one component from its head and its leg tree.
 
     D is the least c whose leg count reaches D(head); Fix is Fix(head) when
-    the legs are rigid, else |head| times the leg fixing number.
+    the legs are rigid, else |head| times the leg fixing number.  The
+    component must be a tree whose size ratios recognition has checked.
     """
+    if not comp.is_tree or comp.bad_edges:
+        raise InternalError(
+            f"component rooted at cell {comp.root} is not a tree of divisible sizes"
+        )
     head = head_of_component(cg, comp)
     d_head, fix_head = head_invariants(head)
-    tree = CellTree.from_component(cg, comp)
-    legs = leg_fix(tree)
+    legs = leg_fix(comp)
     return ComponentReport(
         cells=comp.cells, root=comp.root, head=head,
         d_head=d_head, fix_head=fix_head, leg_fix=legs,
-        dist=_least_colors(tree, d_head),
+        dist=_least_colors(cg.cell_sizes, comp, d_head),
         fix=fix_head if legs == 0 else head.size * legs,
     )
 
@@ -340,7 +282,7 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
         cached = memo.get(key)
         if cached is None:
             report = memo[key] = component_report(cg, comp)
-        else:
+        else:  # field by field: dataclasses.replace is slower, once per component
             report = ComponentReport(
                 cells=comp.cells, root=comp.root, head=cached.head,
                 d_head=cached.d_head, fix_head=cached.fix_head,

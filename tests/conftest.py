@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from graphsym import from_edge_list, generators
+from graphsym import Component, from_edge_list, generators
 from graphsym.graph import Graph
 
 
@@ -47,3 +47,28 @@ def set_partitions(items: list):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
+
+
+def cell_tree(nest: tuple) -> tuple[tuple[int, ...], Component]:
+    """Cell sizes and a rooted component from a ``(size, [child, ...])`` nest.
+
+    Cell ids are assigned breadth-first from the root, 0; sizes along every
+    edge must divide, as recognition guarantees for an amenable graph.
+    """
+    nodes = [nest]
+    parent: dict[int, int] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    multiplicity: dict[int, int] = {}
+    for x, (size, kids) in enumerate(nodes):  # nodes grows as the walk goes
+        ids = []
+        for kid in kids:
+            y = len(nodes)
+            nodes.append(kid)
+            mult, rem = divmod(kid[0], size)
+            assert mult >= 1 and rem == 0, f"sizes {size} -> {kid[0]} do not divide"
+            parent[y], multiplicity[y] = x, mult
+            ids.append(y)
+        children[x] = tuple(ids)
+    comp = Component(cells=tuple(range(len(nodes))), root=0, parent=parent,
+                     children=children, multiplicity=multiplicity)
+    return tuple(size for size, _kids in nodes), comp

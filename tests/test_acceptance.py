@@ -13,7 +13,6 @@ from math import comb
 import pytest
 
 from graphsym import (
-    CellTree,
     CrOutcome,
     analyze,
     check_amenable,
@@ -32,6 +31,8 @@ from graphsym import (
 from graphsym.amenability import Condition
 from graphsym.errors import NotAmenable
 from graphsym.generators import named, random_amenable
+
+from .conftest import cell_tree
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 CORPUS_SIZE = 500
@@ -88,11 +89,12 @@ def test_criterion_1_figure1_regression():
 
 
 def test_criterion_2_leg_recursion_values():
-    tree = CellTree.from_nested(LEG_REGRESSION_NEST)
-    assert oracle.leg_dist_count_exact(tree, 3) == 324
-    sat = leg_dist_count(tree, 3, cap=10**9)
-    assert sat.value == 324 and not sat.saturated
-    assert leg_fix(tree) == 10
+    sizes, comp = cell_tree(LEG_REGRESSION_NEST)
+    assert oracle.leg_dist_count_exact(sizes, comp, 3) == 324
+    cap = 10**9
+    value = leg_dist_count(sizes, comp, 3, cap)
+    assert value == 324 and value != cap  # exact, not saturated
+    assert leg_fix(comp) == 10
     print("\nACCEPTANCE 2 PASS: leg count 324 at c=3 and leg fix 10")
 
 
@@ -170,39 +172,37 @@ def test_criterion_6_structural_invariants(corpus):
     print(f"\nACCEPTANCE 6 PASS: group product law and jellyfish equivalence on {len(corpus)} graphs")
 
 
-def _random_cell_tree(rng: random.Random, max_cells: int = 30) -> CellTree:
-    sizes: list[int] = []
-    children: list[list[int]] = []
+def _random_cell_tree(rng: random.Random, max_cells: int = 30):
+    """(sizes, Component) of a random divisible cell tree of depth <= 6."""
+    cells = 0
 
-    def grow(size: int, depth: int) -> int:
-        idx = len(sizes)
-        sizes.append(size)
-        children.append([])
-        if len(sizes) < max_cells and depth < 6:
+    def grow(size: int, depth: int) -> tuple:
+        nonlocal cells
+        cells += 1
+        kids: list[tuple] = []
+        if cells < max_cells and depth < 6:
             for _ in range(rng.randint(0, 2)):
-                if len(sizes) >= max_cells:
+                if cells >= max_cells:
                     break
-                children[idx].append(grow(size * rng.randint(1, 3), depth + 1))
-        return idx
+                kids.append(grow(size * rng.randint(1, 3), depth + 1))
+        return (size, kids)
 
-    grow(rng.randint(1, 3), 0)
-    return CellTree(sizes=tuple(sizes), root=0,
-                    children=tuple(tuple(c) for c in children))
+    return cell_tree(grow(rng.randint(1, 3), 0))
 
 
 def test_criterion_7_saturation_soundness():
     rng = random.Random(20240901)
     checked = 0
     for _ in range(1000):
-        tree = _random_cell_tree(rng)
+        sizes, comp = _random_cell_tree(rng)
         d_star = rng.randint(1, 50)
-        cap = d_star + tree.total_size + 1
+        cap = d_star + sum(sizes) + 1
         for c in range(1, 5):
-            sat = leg_dist_count(tree, c, cap=cap)
-            exact = oracle.leg_dist_count_exact(tree, c)
-            assert (sat.value >= d_star) == (exact >= d_star)
-            if sat.value < cap:
-                assert sat.value == exact
+            value = leg_dist_count(sizes, comp, c, cap)
+            exact = oracle.leg_dist_count_exact(sizes, comp, c)
+            assert (value >= d_star) == (exact >= d_star)
+            if value < cap:
+                assert value == exact
             checked += 1
     print(f"\nACCEPTANCE 7 PASS: saturating counts match exact on {checked} (tree, c, d*) triples")
 

@@ -33,7 +33,7 @@ def test_c6_fails_condition_a():
     assert not verdict.amenable
     assert verdict.failure.condition is Condition.A
     assert verdict.failure.cell == 0
-    assert verdict.cell_graph is None and verdict.forest is None
+    assert verdict.cell_graph is None and verdict.components is None
 
 
 def test_condition_b_failure():

@@ -64,8 +64,7 @@ def test_not_equitable_rejected():
 
 
 def test_figure1_components(figure1):
-    forest = anisotropic_components(cell_graph_of(figure1))
-    comps = forest.components  # ordered by lowest cell id
+    comps = anisotropic_components(cell_graph_of(figure1))  # ordered by lowest cell id
     assert [c.cells for c in comps] == [(0,), (1, 3), (2,)]
     assert comps[1].root == 3
     assert comps[1].multiplicity == {1: 2}
@@ -73,10 +72,9 @@ def test_figure1_components(figure1):
 
 
 def test_single_cell_component():
-    forest = anisotropic_components(cell_graph_of(named("kn", 6)))
-    assert len(forest.components) == 1
-    assert forest.components[0].cells == (0,)
-    assert forest.components[0].multiplicity == {}
+    (comp,) = anisotropic_components(cell_graph_of(named("kn", 6)))
+    assert comp.cells == (0,)
+    assert comp.multiplicity == {}
 
 
 def test_branched_component_multiplicities():
@@ -93,9 +91,7 @@ def test_branched_component_multiplicities():
     assert g.n == 100
     p = stable_partition(g)
     assert p == intended
-    forest = anisotropic_components(build_cell_graph(g, p))
-    assert len(forest.components) == 1
-    comp = forest.components[0]
+    (comp,) = anisotropic_components(build_cell_graph(g, p))
     sizes = {c: len(p.cells[c]) for c in comp.cells}
     assert sizes[comp.root] == 5
     edge_profile = sorted(
@@ -116,7 +112,7 @@ def test_multiple_heterogeneous_reported():
     g = from_edge_list(12, edges)
     cg = cell_graph_of(g)
     assert cg.cell_kinds == (CellKind.MATCHING, CellKind.MATCHING)
-    (comp,) = anisotropic_components(cg).components
+    (comp,) = anisotropic_components(cg)
     assert comp.is_tree and comp.het_cells == (0, 1)
     assert comp.findings() == [("D", "more than one heterogeneous cell", (0, 1))]
 
@@ -136,7 +132,7 @@ def test_cyclic_anisotropic_component_reported():
     cg = cell_graph_of(g)
     assert cg.partition.num_cells == 3
     assert all(kind is CellKind.EMPTY for kind in cg.cell_kinds)
-    (comp,) = anisotropic_components(cg).components
+    (comp,) = anisotropic_components(cg)
     assert comp.cells == (0, 1, 2) and not comp.is_tree
     assert comp.parent == {} and comp.multiplicity == {}
     assert comp.findings() == [("C", "not a tree", (0, 1, 2))]
@@ -149,7 +145,7 @@ def test_heterogeneous_cell_off_minimum_reported():
         edges += [(m, 6 + 2 * i), (m, 7 + 2 * i)]
     g = from_edge_list(14, edges)
     cg = cell_graph_of(g)
-    (comp,) = anisotropic_components(cg).components
+    (comp,) = anisotropic_components(cg)
     assert cg.cell_sizes[comp.root] == 2 and not cg.is_heterogeneous(comp.root)
     het = comp.het_cells[0]
     assert cg.cell_kinds[het] is CellKind.MATCHING and cg.cell_sizes[het] == 4
@@ -163,7 +159,7 @@ def test_decreasing_sizes_reported():
     edges += [(8, 2), (8, 3), (9, 4), (9, 5), (10, 6), (10, 7)]
     cg = cell_graph_of(from_edge_list(11, edges))
     assert cg.cell_sizes == (2, 6, 3)
-    (comp,) = anisotropic_components(cg).components
+    (comp,) = anisotropic_components(cg)
     assert comp.root == 0 and comp.parent == {1: 0, 2: 1}
     assert comp.multiplicity == {1: 3} and comp.bad_edges == (("monotone", 1, 2),)
     assert comp.findings() == [("C", "cell sizes decrease along 1 -> 2", (1, 2))]
@@ -183,7 +179,7 @@ def test_double_counting_identity(g):
 @given(graphs())
 def test_multiplicities_positive_and_consistent(g):
     cg = cell_graph_of(g)
-    for comp in anisotropic_components(cg).components:
+    for comp in anisotropic_components(cg):
         assert set(comp.multiplicity) | {c for _, _, c in comp.bad_edges} == set(comp.parent)
         for child, m in comp.multiplicity.items():
             parent = comp.parent[child]

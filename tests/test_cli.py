@@ -205,6 +205,32 @@ def test_internal_error_exit_code(fig1_file, capsys, monkeypatch):
         "error": "InternalError", "message": "invariant violated"}
 
 
+def test_missing_argument_is_a_usage_error(capsys):
+    assert run(["--json", "dist"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {
+        "error": "UsageError",
+        "message": "graphsym dist: the following arguments are required: graph"}
+    assert run(["dist"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: graphsym dist")
+
+
+def test_unknown_command_is_a_usage_error(capsys):
+    assert run(["--json", "nosuch"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "UsageError"
+    assert "invalid choice: 'nosuch'" in payload["message"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run(["--json", "dist", "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphsym dist")
+
+
 _LOADED = """
 import contextlib, io, json, sys
 from graphsym.cli import run

@@ -11,12 +11,12 @@ from graphsym import (
     from_edge_list,
     stable_partition,
 )
+from graphsym import generators
 from graphsym.errors import BadParams, BadSpec, BudgetExhausted
 from graphsym.generators import (
     CellNode,
     ComponentSpec,
     GraphSpec,
-    ShapeParams,
     generate,
     named,
     random_amenable,
@@ -150,6 +150,7 @@ def test_random_amenable_degenerate_and_large():
     assert stable_partition(g) == p
 
 
-def test_budget_exhausted():
+def test_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(generators, "_ATTEMPTS", 0)
     with pytest.raises(BudgetExhausted):
-        random_amenable(5, params=ShapeParams(attempts=0), seed=0)
+        random_amenable(5, seed=0)

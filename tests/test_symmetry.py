@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphsym import (
     CellGraph,
     CellKind,
-    CellTree,
     Component,
     HeadKind,
     HeadShape,
@@ -29,10 +28,10 @@ from graphsym import (
     oracle,
 )
 from graphsym import symmetry
-from graphsym.errors import BadCap, NotAmenable
+from graphsym.errors import BadCap, InternalError, NotAmenable
 from graphsym.generators import named, random_amenable
 
-from .conftest import graphs
+from .conftest import cell_tree, graphs
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 
@@ -46,7 +45,7 @@ def cell_trees(draw, max_depth: int = 3, max_root: int = 3):
                 kids.append(node(depth + 1, size * draw(st.integers(1, 3))))
         return (size, kids)
 
-    return CellTree.from_nested(node(0, draw(st.integers(1, max_root))))
+    return cell_tree(node(0, draw(st.integers(1, max_root))))
 
 
 def test_min_c_binom_examples():
@@ -82,30 +81,33 @@ def test_head_of_component(figure1):
 
 
 def test_leg_count_branched_example():
-    tree = CellTree.from_nested(LEG_REGRESSION_NEST)
-    assert oracle.leg_dist_count_exact(tree, 3) == 324
-    sat = leg_dist_count(tree, 3, cap=10**6)
-    assert sat.value == 324 and not sat.saturated
-    assert oracle.leg_dist_count_exact(tree, 2) == 0
+    sizes, comp = cell_tree(LEG_REGRESSION_NEST)
+    assert oracle.leg_dist_count_exact(sizes, comp, 3) == 324
+    cap = 10**6
+    value = leg_dist_count(sizes, comp, 3, cap)
+    assert value == 324 and value != cap  # exact, not saturated
+    assert oracle.leg_dist_count_exact(sizes, comp, 2) == 0
 
 
 def test_leg_count_single_cell():
-    tree = CellTree.from_nested((4, []))
+    sizes, comp = cell_tree((4, []))
     for c in (1, 2, 5):
-        assert oracle.leg_dist_count_exact(tree, c) == c
-        assert leg_dist_count(tree, c, cap=100).value == min(c, 100)
+        assert oracle.leg_dist_count_exact(sizes, comp, c) == c
+        assert leg_dist_count(sizes, comp, c, 100) == min(c, 100)
 
 
 def test_leg_count_bad_cap():
-    tree = CellTree.from_nested(LEG_REGRESSION_NEST)
+    sizes, comp = cell_tree(LEG_REGRESSION_NEST)
     with pytest.raises(BadCap):
-        leg_dist_count(tree, 3, cap=50)  # cap must exceed the vertex count
+        leg_dist_count(sizes, comp, 3, 50)  # cap must exceed the vertex count
+    with pytest.raises(ValueError):
+        leg_dist_count(sizes, comp, 0, 10**6)
 
 
 def test_leg_fix_examples():
-    assert leg_fix(CellTree.from_nested(LEG_REGRESSION_NEST)) == 10
-    assert leg_fix(CellTree.from_nested((3, []))) == 0
-    assert leg_fix(CellTree.from_nested((1, [(2, [])]))) == 1
+    assert leg_fix(cell_tree(LEG_REGRESSION_NEST)[1]) == 10
+    assert leg_fix(cell_tree((3, []))[1]) == 0
+    assert leg_fix(cell_tree((1, [(2, [])]))[1]) == 1
 
 
 def test_component_dist_examples(figure1):
@@ -181,6 +183,22 @@ def test_unsupported_root_kind_is_loud():
         head_of_component(cg, comp)
 
 
+def test_component_report_rejects_a_bad_edge(figure1):
+    verdict = check_amenable(figure1)
+    comp = verdict.components[1]  # cells 1 and 3, a star pair
+    (child,) = comp.children[comp.root]
+    bad = Component(
+        cells=comp.cells, root=comp.root, parent=comp.parent, children=comp.children,
+        multiplicity={}, bad_edges=(("divisibility", comp.root, child),),
+    )
+    with pytest.raises(InternalError):
+        component_report(verdict.cell_graph, bad)
+    cyclic = Component(cells=comp.cells, root=comp.root, parent={}, children={},
+                       multiplicity={}, is_tree=False)
+    with pytest.raises(InternalError):
+        component_report(verdict.cell_graph, cyclic)
+
+
 def test_degenerate_sizes():
     from graphsym import from_edge_list
 
@@ -204,21 +222,23 @@ def test_report_structure(figure1):
 @settings(max_examples=60, deadline=None)
 @given(cell_trees())
 def test_leg_count_monotone_in_c(tree):
-    values = [oracle.leg_dist_count_exact(tree, c) for c in range(1, 7)]
+    sizes, comp = tree
+    values = [oracle.leg_dist_count_exact(sizes, comp, c) for c in range(1, 7)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 @settings(max_examples=120, deadline=None)
 @given(cell_trees(), st.integers(1, 50), st.integers(1, 6))
 def test_saturation_preserves_threshold(tree, d_star, c):
-    cap = d_star + tree.total_size + 1
-    sat = leg_dist_count(tree, c, cap=cap)
-    exact = oracle.leg_dist_count_exact(tree, c)
-    assert (sat.value >= d_star) == (exact >= d_star)
-    if not sat.saturated:
-        assert sat.value == exact
-    else:
+    sizes, comp = tree
+    cap = d_star + sum(sizes) + 1
+    value = leg_dist_count(sizes, comp, c, cap)
+    exact = oracle.leg_dist_count_exact(sizes, comp, c)
+    assert (value >= d_star) == (exact >= d_star)
+    if value == cap:  # saturated
         assert exact >= cap
+    else:
+        assert value == exact
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,6 +301,11 @@ def test_shape_key_of_a_deep_path_is_flat():
     key = symmetry._shape_key(cg, comp, ids)
     assert key == (CellKind.COMPLETE, n - 1) and len(ids) == n
     assert {key: 1}[symmetry._shape_key(cg, comp, ids)] == 1 and len(ids) == n
+    # the leg recursions walk the same path without recursing either
+    assert leg_fix(comp) == 0
+    cap = 2 * n + 2
+    assert leg_dist_count(cg.cell_sizes, comp, 1, cap) == 1
+    assert leg_dist_count(cg.cell_sizes, comp, 2, cap) == cap
 
 
 def test_long_path():
