@@ -26,16 +26,6 @@ from .cells import (
 from .graph import Graph
 from .refinement import CrOutcome, Partition, cr_partition, stable_partition
 
-_ALLOWED_CELL_KINDS = {
-    CellKind.EMPTY, CellKind.COMPLETE, CellKind.MATCHING,
-    CellKind.CO_MATCHING, CellKind.FIVE_CYCLE,
-}
-_ALLOWED_PAIR_KINDS = {
-    PairKind.ISO_EMPTY, PairKind.ISO_COMPLETE,
-    PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS,
-}
-
-
 class Condition(Enum):
     A = "A"
     B = "B"
@@ -90,20 +80,18 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
     """check_amenable over g's stable partition p."""
     cg = cell_graph_of_equitable(g, p)
 
-    for i, kind in enumerate(cg.cell_kinds):
-        if kind not in _ALLOWED_CELL_KINDS:
-            return AmenabilityVerdict(
-                amenable=False, failure=Failure(condition=Condition.A, cell=i)
-            )
-    for (i, j), pc in sorted(cg.pair_classes.items()):
-        if pc.kind not in _ALLOWED_PAIR_KINDS:
-            return AmenabilityVerdict(
-                amenable=False, failure=Failure(condition=Condition.B, pair=(i, j))
-            )
+    # every cell kind but OTHER satisfies A, and every pair kind but OTHER B
+    if CellKind.OTHER in cg.cell_kinds:
+        return AmenabilityVerdict(amenable=False, failure=Failure(
+            condition=Condition.A, cell=cg.cell_kinds.index(CellKind.OTHER)))
+    bad_pairs = [key for key, pc in cg.pair_classes.items() if pc.kind is PairKind.OTHER]
+    if bad_pairs:
+        return AmenabilityVerdict(amenable=False, failure=Failure(
+            condition=Condition.B, pair=min(bad_pairs)))
 
     components = anisotropic_components(cg)
     findings = [(cond, idx, reason)
-                for idx, comp in enumerate(components)
+                for idx, comp in enumerate(components) if len(comp.cells) > 1  # a lone cell has none
                 for cond, reason, _cells in comp.findings()]
     if findings:
         cond, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable

@@ -35,16 +35,23 @@ class PairKind(Enum):
     OTHER = "other"
 
 
-HOMOGENEOUS_KINDS = {CellKind.EMPTY, CellKind.COMPLETE}
-ANISOTROPIC_KINDS = {PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS}
-
-
 @dataclass(frozen=True)
 class PairClass:
     """Classification of one unordered cell pair; center_cell is set for star kinds."""
 
     kind: PairKind
     center_cell: int | None = None
+
+
+# Only star pairs carry data, so every other pair shares one instance.
+_ISO_EMPTY = PairClass(kind=PairKind.ISO_EMPTY)
+_ISO_COMPLETE = PairClass(kind=PairKind.ISO_COMPLETE)
+_OTHER_PAIR = PairClass(kind=PairKind.OTHER)
+
+
+def _heterogeneous(kind: CellKind) -> bool:
+    # identity tests: hashing an Enum member runs Python code
+    return kind is not CellKind.EMPTY and kind is not CellKind.COMPLETE
 
 
 @dataclass(frozen=True)
@@ -69,11 +76,11 @@ class CellGraph:
         return self.d.get((i, j), 0)
 
     def is_heterogeneous(self, i: int) -> bool:
-        return self.cell_kinds[i] not in HOMOGENEOUS_KINDS
+        return _heterogeneous(self.cell_kinds[i])
 
     def pair_class(self, i: int, j: int) -> PairClass:
         key = (i, j) if i < j else (j, i)
-        return self.pair_classes.get(key, PairClass(kind=PairKind.ISO_EMPTY))
+        return self.pair_classes.get(key, _ISO_EMPTY)
 
     def to_json(self) -> dict:
         return {
@@ -142,7 +149,7 @@ class Component:
             "multiplicities": {str(c): m for c, m in sorted(self.multiplicity.items())},
             "heterogeneous": self.heterogeneous,
         }
-        findings = self.findings()
+        findings = self.findings() if len(self.cells) > 1 else ()  # a lone cell has none
         if findings:
             out["findings"] = [
                 {"condition": cond, "reason": reason, "cells": list(cells)}
@@ -164,30 +171,28 @@ def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
 
 def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
     """build_cell_graph for a partition known to be equitable, such as one
-    fresh from refine: d is read from the lowest vertex of each cell."""
-    cell_of = p.cell_of
-    sizes = tuple(len(c) for c in p.cells)
+    fresh from refine: d is read from the lowest vertex of each cell, and a
+    pair is classified when the higher of its two cells is read."""
+    cell_of, adjacency, cells = p.cell_of, g.adjacency, p.cells
+    sizes = tuple(len(c) for c in cells)
     k = len(sizes)
     d: dict[tuple[int, int], int] = {}
+    pair_classes: dict[tuple[int, int], PairClass] = {}
     for i in range(k):
         profile: dict[int, int] = {}
-        for u in g.adjacency[p.cells[i][0]]:
+        for u in adjacency[cells[i][0]]:
             c = cell_of[u]
             profile[c] = profile.get(c, 0) + 1
-        d[(i, i)] = profile.get(i, 0)
+        d[(i, i)] = profile.pop(i, 0)
         for j, count in profile.items():
-            if j != i:
-                d[(i, j)] = count
-
-    cell_kinds = tuple(_classify_cell(sizes[i], d[(i, i)]) for i in range(k))
-
-    pair_classes: dict[tuple[int, int], PairClass] = {}
-    for (i, j), dij in d.items():
-        if i >= j or dij == 0:
-            continue
-        pair_classes[(i, j)] = _classify_pair(i, j, sizes[i], sizes[j], dij, d[(j, i)])
+            d[(i, j)] = count
+            if j < i:  # equitable: d[j, i] > 0 too, read with cell j
+                pair_classes[(j, i)] = _classify_pair(
+                    j, i, sizes[j], sizes[i], d[(j, i)], count
+                )
     return CellGraph(
-        partition=p, cell_sizes=sizes, d=d, cell_kinds=cell_kinds,
+        partition=p, cell_sizes=sizes, d=d,
+        cell_kinds=tuple(_classify_cell(sizes[i], d[(i, i)]) for i in range(k)),
         pair_classes=pair_classes,
     )
 
@@ -213,14 +218,14 @@ def _classify_pair(i: int, j: int, si: int, sj: int, dij: int, dji: int) -> Pair
     else:
         small, s_small, d_large_to_small = i, si, dji
     if d_large_to_small == 0:
-        return PairClass(kind=PairKind.ISO_EMPTY)
+        return _ISO_EMPTY
     if d_large_to_small == s_small:
-        return PairClass(kind=PairKind.ISO_COMPLETE)
+        return _ISO_COMPLETE
     if d_large_to_small == 1:
         return PairClass(kind=PairKind.ANISO_STARS, center_cell=small)
     if d_large_to_small == s_small - 1:
         return PairClass(kind=PairKind.ANISO_CO_STARS, center_cell=small)
-    return PairClass(kind=PairKind.OTHER)
+    return _OTHER_PAIR
 
 
 def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
@@ -230,15 +235,20 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
     recorded on each Component (see Component.findings), never raised;
     check_amenable judges conditions C and D from them.
     """
-    sizes = cg.cell_sizes
+    sizes, kinds = cg.cell_sizes, cg.cell_kinds
     adj: list[list[int]] = [[] for _ in range(cg.num_cells)]
-    for (i, j), pc in sorted(cg.pair_classes.items()):
-        if pc.kind in ANISOTROPIC_KINDS:
-            adj[i].append(j)  # sorted keys keep every list ascending
-            adj[j].append(i)
+    for i, j in sorted(key for key, pc in cg.pair_classes.items() if pc.center_cell is not None):
+        adj[i].append(j)  # sorted keys keep every list ascending
+        adj[j].append(i)
     seen = [False] * cg.num_cells
     comps: list[Component] = []
     for start in range(cg.num_cells):
+        if not adj[start]:  # a lone cell: a tree without edges, rooted at itself
+            comps.append(Component(
+                cells=(start,), root=start, parent={}, children={start: ()}, multiplicity={},
+                het_cells=(start,) if _heterogeneous(kinds[start]) else (),
+            ))
+            continue
         if seen[start]:
             continue
         comp = [start]
@@ -254,7 +264,7 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
                     comp.append(y)
                     stack.append(y)
         comp.sort()
-        het = tuple(c for c in comp if cg.is_heterogeneous(c))
+        het = tuple(c for c in comp if _heterogeneous(kinds[c]))
         min_size = min(sizes[c] for c in comp)
         root = next((c for c in het if sizes[c] == min_size), None)
         if root is None:

@@ -6,7 +6,8 @@ each of the following m lines is "u v" with 0-based endpoints.
 graph6 follows McKay's specification: one printable ASCII line, vertex count
 followed by the upper triangle of the adjacency matrix in column-major order,
 six bits per byte, offset 63.  The short size form covers n <= 62 and the
-long form covers n <= 258047.
+long form covers n <= 258047; encode_graph6 writes at most
+GRAPH6_MAX_BODY_BYTES of body, so n <= 14189.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import BadEdgeList, BadGraph6
 from .graph import Graph, from_edge_list
 
 _HEADER = ">>graph6<<"
+# encode_graph6 refuses bodies above this many bytes (16 MiB, n <= 14189):
+# the body grows as n^2 / 12 bytes, about 2 GB at n = 160000.
+GRAPH6_MAX_BODY_BYTES = 1 << 24
+_SIX_BITS_TO_TEXT = bytes(range(63, 127)) + bytes(192)  # value v -> byte v + 63
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,11 @@ def decode_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
+    """graph6 text of g, without header or newline.
+
+    Raises BadGraph6, before allocating the body, when it would be longer
+    than GRAPH6_MAX_BODY_BYTES.
+    """
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -120,13 +130,13 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise BadGraph6(0, f"n = {n} too large for supported size forms")
-    nbits = n * (n - 1) // 2
-    bits = bytearray((nbits + 5) // 6)
-    bit = 0
-    for j in range(1, n):
-        neighbors = set(g.adjacency[j])
-        for i in range(j):
-            if i in neighbors:
-                bits[bit // 6] |= 1 << (5 - bit % 6)
-            bit += 1
-    return head + "".join(chr(b + 63) for b in bits)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if nbytes > GRAPH6_MAX_BODY_BYTES:
+        raise BadGraph6(
+            len(head), f"n = {n} needs {nbytes} body bytes, over {GRAPH6_MAX_BODY_BYTES}"
+        )
+    bits = bytearray(nbytes)
+    for i, j in g.edges():  # i < j: bit j(j-1)/2 + i of the upper triangle
+        bit = j * (j - 1) // 2 + i
+        bits[bit // 6] |= 32 >> (bit % 6)
+    return head + bits.translate(_SIX_BITS_TO_TEXT).decode("ascii")

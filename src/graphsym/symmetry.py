@@ -252,6 +252,8 @@ def _shape_key(
     tree: nothing recurses, in Python or in tuple hashing.
     """
     sizes, children = cg.cell_sizes, comp.children
+    if len(comp.cells) == 1:  # a lone cell is a leaf: skip the walk
+        return cg.cell_kinds[comp.root], ids.setdefault((sizes[comp.root], ()), len(ids))
     label: dict[int, int] = {}
     for x in _postorder(children, comp.root):
         shape = (sizes[x], tuple(sorted([label[y] for y in children[x]])))

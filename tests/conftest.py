@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 from hypothesis import strategies as st
 
 from graphsym import Component, from_edge_list, generators
+from graphsym.formats import GRAPH6_MAX_BODY_BYTES
 from graphsym.graph import Graph
 
 
@@ -72,3 +75,17 @@ def cell_tree(nest: tuple) -> tuple[tuple[int, ...], Component]:
     comp = Component(cells=tuple(range(len(nodes))), root=0, parent=parent,
                      children=children, multiplicity=multiplicity)
     return tuple(size for size, _kids in nodes), comp
+
+
+def _graph6_body_bytes(n: int) -> int:
+    return (n * (n - 1) // 2 + 5) // 6
+
+
+def smallest_n_over_graph6_bound() -> int:
+    """Least vertex count whose graph6 body passes GRAPH6_MAX_BODY_BYTES."""
+    n = isqrt(12 * GRAPH6_MAX_BODY_BYTES)  # the body is about n^2 / 12 bytes
+    while _graph6_body_bytes(n) <= GRAPH6_MAX_BODY_BYTES:
+        n += 1
+    while _graph6_body_bytes(n - 1) > GRAPH6_MAX_BODY_BYTES:
+        n -= 1
+    return n

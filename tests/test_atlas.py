@@ -1,0 +1,76 @@
+"""Exhaustive checks on all 1253 graphs of networkx's graph atlas (n <= 7).
+
+The atlas lists every isomorphism class on up to seven vertices once, so a
+graph is amenable exactly when no other atlas graph of its order is colour
+refinement (CR) equivalent to it.  CR classes are decided here by networkx's
+Weisfeiler-Lehman hash at n iterations, where 1-WL has stabilised, and not
+by graphsym's own refinement.
+"""
+
+from __future__ import annotations
+
+import random
+import warnings
+from collections import Counter
+
+import networkx as nx
+import pytest
+
+from graphsym import IsoVerdict, amenable_iso, check_amenable, from_edge_list, oracle
+from graphsym.graph import relabel
+from graphsym.symmetry import analyze
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    """(graph, amenable by definition, verdict) per atlas graph, and the CR classes."""
+    graphs, keys = [], []
+    with warnings.catch_warnings():  # networkx 3.5 notes a change of its hash values
+        warnings.simplefilter("ignore", UserWarning)
+        for G in nx.graph_atlas_g():
+            n = G.number_of_nodes()
+            graphs.append(from_edge_list(n, list(G.edges())))
+            # n iterations, at least the one networkx requires
+            keys.append((n, nx.weisfeiler_lehman_graph_hash(G, iterations=max(n, 1))))
+    count = Counter(keys)
+    rows = [(g, count[key] == 1, check_amenable(g)) for g, key in zip(graphs, keys)]
+    classes: dict[tuple, list] = {}
+    for g, key in zip(graphs, keys):
+        classes.setdefault(key, []).append(g)
+    return rows, [c for c in classes.values() if len(c) > 1]
+
+
+def test_atlas_verdicts_match_the_definition(atlas):
+    rows, shared = atlas
+    assert len(rows) == 1253
+    assert [verdict.amenable for _g, _ok, verdict in rows] == [ok for _g, ok, _v in rows]
+    assert sum(ok for _g, ok, _v in rows) == 1201
+    assert sorted(len(c) for c in shared) == [2] * 26
+
+
+def test_atlas_dist_and_fix_match_brute_force(atlas):
+    rows, _shared = atlas
+    for g, ok, verdict in rows:
+        if ok:
+            report = analyze(g, verdict=verdict)
+            assert (report.dist_number, report.fix_number) == (
+                oracle.dist_number_bf(g), oracle.fix_number_bf(g)), g
+
+
+def test_atlas_cr_equivalent_pairs_are_heuristic_equivalent(atlas):
+    _rows, shared = atlas
+    for g, h in shared:
+        assert amenable_iso(g, h) is IsoVerdict.HEURISTIC_EQUIVALENT
+        assert amenable_iso(h, g) is IsoVerdict.HEURISTIC_EQUIVALENT
+
+
+def test_atlas_relabelled_copies(atlas):
+    """Isomorphic is certified exactly on the amenable graphs; the others,
+    CR-equivalent to their copy, are HeuristicEquivalent."""
+    rows, _shared = atlas
+    rng = random.Random(0)
+    for g, ok, _verdict in rows:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        expected = IsoVerdict.ISOMORPHIC if ok else IsoVerdict.HEURISTIC_EQUIVALENT
+        assert amenable_iso(g, relabel(g, perm)) is expected, g

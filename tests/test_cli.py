@@ -12,6 +12,8 @@ from graphsym.cli import run
 from graphsym.formats import format_edge_list, parse_edge_list
 from graphsym.generators import named
 
+from .conftest import smallest_n_over_graph6_bound
+
 
 @pytest.fixture
 def fig1_file(tmp_path):
@@ -110,6 +112,14 @@ def test_gen_named_roundtrip(tmp_path, capsys):
     assert run(["gen", "named", "kn", "5", "--out", str(out)]) == 0
     g, _ = parse_edge_list(out.read_text())
     assert g == named("kn", 5)
+
+
+def test_gen_graph6_over_the_bound_is_one_json_error(capsys):
+    n = smallest_n_over_graph6_bound()
+    assert run(["--json", "gen", "named", "pn", str(n), "--format", "graph6"]) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == "BadGraph6"
 
 
 def test_gen_random_and_spec(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from graphsym import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from graphsym.errors import BadEdgeList, BadGraph6
 from graphsym.generators import named
+from graphsym.graph import Graph
 
-from .conftest import graphs
+from .conftest import graphs, smallest_n_over_graph6_bound
 
 
 def _nx_graph6(g) -> str:
@@ -64,6 +65,14 @@ def test_size_form_boundary():
         assert s.startswith("~") == (n > 62)
         assert s == _nx_graph6(g)
         assert decode_graph6(s) == g
+
+
+def test_encode_refuses_a_body_over_the_bound():
+    n = smallest_n_over_graph6_bound()
+    assert n == 14190  # the limit the README states
+    g = Graph(n=n, m=0, adjacency=((),) * n)
+    with pytest.raises(BadGraph6, match=f"n = {n} needs"):
+        encode_graph6(g)
 
 
 def test_bad_graph6():
