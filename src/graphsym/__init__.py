@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     "graph": (
         "Graph", "complement", "disjoint_union", "from_edge_list",
-        "induced_subgraph", "relabel", "validate_graph",
+        "induced_subgraph", "relabel",
     ),
     "formats": (
         "ParseReport", "decode_graph6", "encode_graph6", "format_edge_list",

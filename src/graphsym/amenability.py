@@ -18,7 +18,7 @@ from enum import Enum
 from .cells import (
     CellGraph,
     CellKind,
-    Component,
+    Components,
     PairKind,
     anisotropic_components,
     cell_graph_of_equitable,
@@ -54,7 +54,7 @@ class Failure:
 class AmenabilityVerdict:
     amenable: bool
     cell_graph: CellGraph | None = None
-    components: tuple[Component, ...] | None = None  # None unless amenable
+    components: Components | None = None  # None unless amenable
     failure: Failure | None = None
 
     def to_json(self) -> dict:
@@ -90,11 +90,12 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
             condition=Condition.B, pair=min(bad_pairs)))
 
     components = anisotropic_components(cg)
-    findings = [(cond, idx, reason)
-                for idx, comp in enumerate(components) if len(comp.cells) > 1  # a lone cell has none
-                for cond, reason, _cells in comp.findings()]
+    findings = [(cond, comp.cells[0], idx, reason)
+                for idx, comp in enumerate(components.records) if len(comp.cells) > 1
+                for cond, reason, _cells in comp.findings()]  # a lone cell has none
     if findings:
-        cond, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
+        cond, low, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
+        idx += low - cg.nonsingleton.index(low)  # the singleton cells below low
         return AmenabilityVerdict(
             amenable=False,
             failure=Failure(condition=Condition(cond), component=idx, reason=reason),

@@ -10,8 +10,10 @@ centers on the smaller side.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import NotEquitable
 from .graph import Graph
@@ -58,12 +60,16 @@ def _heterogeneous(kind: CellKind) -> bool:
 class CellGraph:
     """Sizes, kinds and degree constants over the cells of an equitable partition.
 
-    ``d`` is sparse: it holds every ordered pair with at least one edge plus
-    all diagonal entries; a missing off-diagonal key means 0.
+    Singleton cells are kept in bulk: ``d`` holds the rows of the
+    ``nonsingleton`` cells only (d[i, i] and each d[i, j] > 0; a missing key
+    means 0) and ``pair_classes`` the pairs of two such cells with an edge.
+    The methods answer for singleton cells, all EMPTY, from the graph.
     """
 
+    graph: Graph
     partition: Partition
     cell_sizes: tuple[int, ...]
+    nonsingleton: tuple[int, ...]  # ids of the cells of two or more vertices, ascending
     d: dict[tuple[int, int], int]
     cell_kinds: tuple[CellKind, ...]
     pair_classes: dict[tuple[int, int], PairClass]
@@ -73,16 +79,24 @@ class CellGraph:
         return len(self.cell_sizes)
 
     def degree_constant(self, i: int, j: int) -> int:
-        return self.d.get((i, j), 0)
+        sizes, cells = self.cell_sizes, self.partition.cells
+        if sizes[i] > 1:
+            return self.d.get((i, j), 0)
+        if sizes[j] > 1:  # double counting: |i| d[i, j] = |j| d[j, i], and |i| = 1
+            return sizes[j] * self.d.get((j, i), 0)
+        return int(self.graph.has_edge(cells[i][0], cells[j][0]))
 
     def is_heterogeneous(self, i: int) -> bool:
         return _heterogeneous(self.cell_kinds[i])
 
     def pair_class(self, i: int, j: int) -> PairClass:
-        key = (i, j) if i < j else (j, i)
-        return self.pair_classes.get(key, _ISO_EMPTY)
+        pc = self.pair_classes.get((i, j) if i < j else (j, i))  # two nonsingleton cells
+        return pc or (_ISO_COMPLETE if i != j and self.degree_constant(i, j) else _ISO_EMPTY)
 
     def to_json(self) -> dict:
+        cell_of = self.partition.cell_of
+        pairs = {(a, b) if a < b else (b, a) for a, b in (
+            (cell_of[u], cell_of[v]) for u, v in self.graph.edges()) if a != b}
         return {
             "cells": [
                 {"id": i, "size": self.cell_sizes[i], "kind": self.cell_kinds[i].value,
@@ -93,7 +107,7 @@ class CellGraph:
                 {"i": i, "j": j, "d_ij": self.degree_constant(i, j),
                  "d_ji": self.degree_constant(j, i), "kind": pc.kind.value,
                  **({"centers": pc.center_cell} if pc.center_cell is not None else {})}
-                for (i, j), pc in sorted(self.pair_classes.items())
+                for i, j in sorted(pairs) for pc in (self.pair_class(i, j),)
             ],
         }
 
@@ -171,29 +185,30 @@ def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
 
 def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
     """build_cell_graph for a partition known to be equitable, such as one
-    fresh from refine: d is read from the lowest vertex of each cell, and a
-    pair is classified when the higher of its two cells is read."""
+    fresh from refine: d is read from the lowest vertex of each nonsingleton
+    cell, and a pair of two such cells is classified when the higher is read."""
     cell_of, adjacency, cells = p.cell_of, g.adjacency, p.cells
-    sizes = tuple(len(c) for c in cells)
-    k = len(sizes)
+    sizes = tuple(map(len, cells))
+    nonsingleton = tuple(i for i, size in enumerate(sizes) if size > 1)
+    kinds = [CellKind.EMPTY] * len(sizes)
     d: dict[tuple[int, int], int] = {}
     pair_classes: dict[tuple[int, int], PairClass] = {}
-    for i in range(k):
+    for i in nonsingleton:
         profile: dict[int, int] = {}
         for u in adjacency[cells[i][0]]:
             c = cell_of[u]
             profile[c] = profile.get(c, 0) + 1
         d[(i, i)] = profile.pop(i, 0)
+        kinds[i] = _classify_cell(sizes[i], d[(i, i)])
         for j, count in profile.items():
             d[(i, j)] = count
-            if j < i:  # equitable: d[j, i] > 0 too, read with cell j
+            if j < i and sizes[j] > 1:  # equitable: d[j, i] > 0 too, read with cell j
                 pair_classes[(j, i)] = _classify_pair(
                     j, i, sizes[j], sizes[i], d[(j, i)], count
                 )
     return CellGraph(
-        partition=p, cell_sizes=sizes, d=d,
-        cell_kinds=tuple(_classify_cell(sizes[i], d[(i, i)]) for i in range(k)),
-        pair_classes=pair_classes,
+        graph=g, partition=p, cell_sizes=sizes, nonsingleton=nonsingleton, d=d,
+        cell_kinds=tuple(kinds), pair_classes=pair_classes,
     )
 
 
@@ -228,39 +243,62 @@ def _classify_pair(i: int, j: int, si: int, sj: int, dij: int, dji: int) -> Pair
     return _OTHER_PAIR
 
 
-def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
+class Components(Sequence):
+    """Per-component records by lowest cell id: ``records`` for the nonsingleton
+    cells, then on first read ``lone(cell)`` for each singleton cell."""
+
+    def __init__(self, cg: CellGraph, records: tuple, lone: Callable[[int], object]) -> None:
+        self.cg, self.records, self._lone = cg, records, lone
+
+    @cached_property
+    def _all(self) -> tuple:
+        singles = [self._lone(i) for i, size in enumerate(self.cg.cell_sizes) if size == 1]
+        return tuple(sorted([*self.records, *singles], key=lambda r: r.cells[0]))
+
+    def __len__(self) -> int:
+        return len(self._all)
+
+    def __getitem__(self, index):
+        return self._all[index]
+
+
+def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
+    # a cell without anisotropic pairs: a tree without edges, rooted at itself
+    return Component(cells=(cell,), root=cell, parent={}, children={cell: ()}, multiplicity={},
+                     het_cells=(cell,) if heterogeneous else ())
+
+
+def anisotropic_components(cg: CellGraph) -> Components:
     """Connected components of the anisotropic pairs, rooted and checked.
 
-    Components are ordered by lowest cell id.  Structural problems are
-    recorded on each Component (see Component.findings), never raised;
-    check_amenable judges conditions C and D from them.
+    Components are ordered by lowest cell id.  Only nonsingleton cells are
+    walked; a singleton cell is its own component, made when read.
+    Structural problems are recorded on each Component (see
+    Component.findings), never raised; check_amenable judges C and D from them.
     """
     sizes, kinds = cg.cell_sizes, cg.cell_kinds
-    adj: list[list[int]] = [[] for _ in range(cg.num_cells)]
+    adj: dict[int, list[int]] = {i: [] for i in cg.nonsingleton}
     for i, j in sorted(key for key, pc in cg.pair_classes.items() if pc.center_cell is not None):
         adj[i].append(j)  # sorted keys keep every list ascending
         adj[j].append(i)
-    seen = [False] * cg.num_cells
+    seen: set[int] = set()
     comps: list[Component] = []
-    for start in range(cg.num_cells):
-        if not adj[start]:  # a lone cell: a tree without edges, rooted at itself
-            comps.append(Component(
-                cells=(start,), root=start, parent={}, children={start: ()}, multiplicity={},
-                het_cells=(start,) if _heterogeneous(kinds[start]) else (),
-            ))
+    for start in cg.nonsingleton:
+        if not adj[start]:
+            comps.append(_lone_component(start, _heterogeneous(kinds[start])))
             continue
-        if seen[start]:
+        if start in seen:
             continue
         comp = [start]
-        seen[start] = True
+        seen.add(start)
         stack = [start]
         degree_sum = 0
         while stack:
             x = stack.pop()
             degree_sum += len(adj[x])
             for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
+                if y not in seen:
+                    seen.add(y)
                     comp.append(y)
                     stack.append(y)
         comp.sort()
@@ -292,4 +330,4 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
             multiplicity=multiplicity, het_cells=het, is_tree=is_tree,
             bad_edges=tuple(bad_edges),
         ))
-    return tuple(comps)
+    return Components(cg, tuple(comps), _lone_component)

@@ -67,26 +67,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, m=m, adjacency=adjacency)
 
 
-def validate_graph(g: Graph) -> None:
-    """Check the structural invariants; raises AssertionError on violation.
-
-    Test helper: every constructor in this package must produce graphs that
-    pass this check.
-    """
-    assert g.n >= 0 and g.m >= 0
-    assert len(g.adjacency) == g.n
-    total = 0
-    for v, row in enumerate(g.adjacency):
-        total += len(row)
-        for i, u in enumerate(row):
-            assert 0 <= u < g.n, f"neighbor {u} of {v} out of range"
-            assert u != v, f"self-loop at {v}"
-            if i > 0:
-                assert row[i - 1] < u, f"adjacency of {v} not strictly increasing"
-            assert v in g.adjacency[u], f"edge {v}->{u} not symmetric"
-    assert total == 2 * g.m, f"degree sum {total} != 2m = {2 * g.m}"
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by ``vertices`` plus the old->new index map.
 

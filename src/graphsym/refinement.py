@@ -68,21 +68,6 @@ class Partition:
                 cell_of[v] = i
         return cls(cell_of=tuple(cell_of), cells=tuple(tuple(c) for c in ordered))
 
-    def restrict(self, vertices: Sequence[int], old_to_new: dict[int, int]) -> "Partition":
-        """Partition induced on a vertex subset, relabeled via old_to_new."""
-        groups: dict[int, list[int]] = {}
-        for v in vertices:
-            groups.setdefault(self.cell_of[v], []).append(old_to_new[v])
-        return Partition._canonical(list(groups.values()), len(vertices))
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every cell of self is contained in a cell of other."""
-        if self.n != other.n:
-            return False
-        return all(
-            len({other.cell_of[v] for v in cell}) == 1 for cell in self.cells
-        )
-
     def to_json(self) -> dict:
         return {"cells": [list(c) for c in self.cells]}
 

@@ -18,7 +18,7 @@ from math import isqrt
 from typing import Mapping, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
-from .cells import CellGraph, CellKind, Component
+from .cells import CellGraph, CellKind, Component, Components
 from .errors import BadCap, InternalError, NotAmenable, UnsupportedRootKind
 from .graph import Graph
 
@@ -179,11 +179,16 @@ class ComponentReport:
         }
 
 
+def _singleton_report(cell: int) -> ComponentReport:  # a head K1 without legs
+    return ComponentReport(cells=(cell,), root=cell, head=HeadKind(HeadShape.COMPLETE, 1),
+                           d_head=1, fix_head=0, leg_fix=0, dist=1, fix=0)
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     dist_number: int
     fix_number: int
-    components: tuple[ComponentReport, ...]
+    components: Sequence[ComponentReport]
 
     def to_json(self) -> dict:
         return {
@@ -241,45 +246,41 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
     )
 
 
-def _shape_key(
-    cg: CellGraph, comp: Component, ids: dict[tuple[int, tuple[int, ...]], int]
-) -> tuple[CellKind, int]:
+def _shape_key(cg: CellGraph, comp: Component, ids: dict[tuple, int]) -> int:
     """What component_report depends on: the root cell's kind plus an AHU id
     (Aho, Hopcroft and Ullman 1974) of the size-labelled rooted tree.
 
     ``ids`` interns ``(size, sorted child ids)`` per cell, so equal ids mean
-    isomorphic size-labelled subtrees, and keys stay flat however deep the
-    tree: nothing recurses, in Python or in tuple hashing.
+    isomorphic size-labelled subtrees, and then ``(kind value, root id)``,
+    which is the key.  Keys are ints, flat however deep the tree, and
+    hashing one runs no Python code, as hashing a CellKind would.
     """
     sizes, children = cg.cell_sizes, comp.children
-    if len(comp.cells) == 1:  # a lone cell is a leaf: skip the walk
-        return cg.cell_kinds[comp.root], ids.setdefault((sizes[comp.root], ()), len(ids))
     label: dict[int, int] = {}
     for x in _postorder(children, comp.root):
         shape = (sizes[x], tuple(sorted([label[y] for y in children[x]])))
         label[x] = ids.setdefault(shape, len(ids))
-    return cg.cell_kinds[comp.root], label[comp.root]
+    return ids.setdefault((cg.cell_kinds[comp.root].value, label[comp.root]), len(ids))
 
 
 def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryReport:
     """Full per-component symmetry report for an amenable graph.
 
     Raises NotAmenable (carrying the verdict) otherwise.  A precomputed
-    verdict may be passed to avoid re-running recognition.  Components of
-    one shape share D and Fix, so each shape is computed once per call.
+    verdict may be passed to avoid re-running recognition.  Each shape of a
+    nonsingleton component is computed once per call; a singleton cell adds
+    D = 1 and Fix = 0, its report made when the components are first read.
     """
     if verdict is None:
         verdict = check_amenable(g)
     if not verdict.amenable:
         raise NotAmenable(verdict)
-    if g.n == 0:
-        return SymmetryReport(dist_number=0, fix_number=0, components=())
     cg = verdict.cell_graph
-    assert cg is not None
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    memo: dict[tuple[CellKind, int], ComponentReport] = {}
+    assert cg is not None and verdict.components is not None
+    ids: dict[tuple, int] = {}
+    memo: dict[int, ComponentReport] = {}
     reports = []
-    for comp in verdict.components:
+    for comp in verdict.components.records:
         key = _shape_key(cg, comp, ids)
         cached = memo.get(key)
         if cached is None:
@@ -292,9 +293,9 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
             )
         reports.append(report)
     return SymmetryReport(
-        dist_number=max(r.dist for r in reports),
+        dist_number=max((r.dist for r in reports), default=min(g.n, 1)),
         fix_number=sum(r.fix for r in reports),
-        components=tuple(reports),
+        components=Components(cg, tuple(reports), _singleton_report),
     )
 
 

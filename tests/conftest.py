@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from math import isqrt
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from graphsym import Component, from_edge_list, generators
 from graphsym.formats import GRAPH6_MAX_BODY_BYTES
 from graphsym.graph import Graph
+from graphsym.refinement import Partition
 
 
 @pytest.fixture
@@ -89,3 +91,53 @@ def smallest_n_over_graph6_bound() -> int:
     while _graph6_body_bytes(n - 1) > GRAPH6_MAX_BODY_BYTES:
         n -= 1
     return n
+
+
+def near_discrete() -> list[Graph]:
+    """Three G(n, 3n) and three random recursive trees at n = 1500, seeds
+    0-2: graphs whose stable partitions are mostly singleton cells."""
+    n, out = 1500, []
+    for seed in range(3):
+        rng, edges = random.Random(seed), set()
+        while len(edges) < 3 * n:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        out.append(from_edge_list(n, sorted(edges)))
+    for seed in range(3):
+        rng = random.Random(seed)
+        out.append(from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+    return out
+
+
+def validate_graph(g: Graph) -> None:
+    """Check the structural invariants; raises AssertionError on violation.
+
+    Every constructor in graphsym must produce graphs that pass this check.
+    """
+    assert g.n >= 0 and g.m >= 0
+    assert len(g.adjacency) == g.n
+    total = 0
+    for v, row in enumerate(g.adjacency):
+        total += len(row)
+        for i, u in enumerate(row):
+            assert 0 <= u < g.n, f"neighbor {u} of {v} out of range"
+            assert u != v, f"self-loop at {v}"
+            if i > 0:
+                assert row[i - 1] < u, f"adjacency of {v} not strictly increasing"
+            assert v in g.adjacency[u], f"edge {v}->{u} not symmetric"
+    assert total == 2 * g.m, f"degree sum {total} != 2m = {2 * g.m}"
+
+
+def restrict(p: Partition, vertices, old_to_new: dict[int, int]) -> Partition:
+    """Partition p induced on a vertex subset, relabeled via old_to_new."""
+    groups: dict[int, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(p.cell_of[v], []).append(old_to_new[v])
+    return Partition.from_cells(list(groups.values()), len(vertices))
+
+
+def refines(p: Partition, other: Partition) -> bool:
+    """True iff every cell of p is contained in a cell of other."""
+    if p.n != other.n:
+        return False
+    return all(len({other.cell_of[v] for v in cell}) == 1 for cell in p.cells)

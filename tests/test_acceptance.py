@@ -32,7 +32,7 @@ from graphsym.amenability import Condition
 from graphsym.errors import NotAmenable
 from graphsym.generators import named, random_amenable
 
-from .conftest import cell_tree
+from .conftest import cell_tree, restrict
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 CORPUS_SIZE = 500
@@ -160,7 +160,7 @@ def test_criterion_6_structural_invariants(corpus):
         for comp in verdict.components:
             verts = sorted(v for c in comp.cells for v in p.cells[c])
             sub, old_to_new = induced_subgraph(g, verts)
-            local = p.restrict(verts, old_to_new)
+            local = restrict(p, verts, old_to_new)
             gi = oracle.automorphisms(sub, local, limit_n=12)
             ji_graph = oracle.materialize_jellyfish(g, p, comp)
             ji = oracle.automorphisms(ji_graph, local, limit_n=12)

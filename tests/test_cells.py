@@ -169,7 +169,12 @@ def test_decreasing_sizes_reported():
 @given(graphs())
 def test_double_counting_identity(g):
     cg = cell_graph_of(g)
-    for (i, j), dij in cg.d.items():
+    cell_of = cg.partition.cell_of
+    # every ordered cell pair with an edge, singleton cells included
+    pairs = {(cell_of[u], cell_of[v]) for u in range(g.n) for v in g.adjacency[u]}
+    for i, j in pairs:
+        dij = cg.degree_constant(i, j)
+        assert dij > 0
         assert cg.cell_sizes[i] * dij == cg.cell_sizes[j] * cg.degree_constant(j, i)
         if i == j:
             assert (dij * cg.cell_sizes[i]) % 2 == 0

@@ -9,12 +9,11 @@ from graphsym import (
     from_edge_list,
     induced_subgraph,
     relabel,
-    validate_graph,
 )
 from graphsym.errors import OutOfRange, SelfLoop
 from graphsym.generators import named
 
-from .conftest import graphs
+from .conftest import graphs, validate_graph
 
 
 def test_k2():

@@ -22,6 +22,8 @@ from graphsym.generators import random_amenable
 from graphsym.refinement import stable_partition
 from graphsym.symmetry import analyze
 
+from .conftest import near_discrete
+
 
 def _answers(g) -> str:
     verdict = check_amenable(g)
@@ -77,6 +79,8 @@ PINNED = {
     "gnm": (_gnm, "9931c2971e8e185b4295467a804ece3c3876d57d378107ca9da781dd72257d65"),
     "failing_unions": (
         _failing_unions, "3843ecf84ff82644dd3d8eb5f7a892c31dd899b6c2be68b747b4ae0b9efbae5d"),
+    "near_discrete": (
+        near_discrete, "72f79f78d7df80c4b0df76fd8e7097113223ba03897659b1b9d992ecaed4dade"),
 }
 
 

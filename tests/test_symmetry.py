@@ -269,8 +269,10 @@ def test_analyze_reports_each_shape_once(monkeypatch):
 
         return cg.cell_kinds[comp.root], canon(comp.root)
 
-    shapes = {shape(comp) for comp in verdict.components}
-    assert len(shapes) < len(verdict.components)
+    # a singleton cell's component is never computed: it adds D = 1, Fix = 0
+    computed = [comp for comp in verdict.components if cg.cell_sizes[comp.root] > 1]
+    shapes = {shape(comp) for comp in computed}
+    assert len(shapes) < len(computed) < len(verdict.components)
     calls = []
 
     def counted(cg_, comp):
@@ -294,18 +296,35 @@ def test_shape_key_of_a_deep_path_is_flat():
         multiplicity={x: 1 for x in range(1, n)},
     )
     cg = CellGraph(
-        partition=Partition.unit(2 * n), cell_sizes=(2,) * n, d={},
+        graph=from_edge_list(2 * n, []), partition=Partition.unit(2 * n),
+        cell_sizes=(2,) * n, nonsingleton=tuple(range(n)), d={},
         cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_classes={},
     )
     ids: dict = {}
     key = symmetry._shape_key(cg, comp, ids)
-    assert key == (CellKind.COMPLETE, n - 1) and len(ids) == n
-    assert {key: 1}[symmetry._shape_key(cg, comp, ids)] == 1 and len(ids) == n
+    # n cell labels, then the key interns the root's kind with the root label
+    assert key == n and ids[("complete", n - 1)] == n and len(ids) == n + 1
+    assert {key: 1}[symmetry._shape_key(cg, comp, ids)] == 1 and len(ids) == n + 1
     # the leg recursions walk the same path without recursing either
     assert leg_fix(comp) == 0
     cap = 2 * n + 2
     assert leg_dist_count(cg.cell_sizes, comp, 1, cap) == 1
     assert leg_dist_count(cg.cell_sizes, comp, 2, cap) == cap
+
+
+def test_analyze_hashes_no_cell_kind(monkeypatch):
+    # hundreds of components of many shapes: a memo keyed on a CellKind
+    # would hash one per component through Enum.__hash__
+    rng = random.Random(11)
+    g = from_edge_list(3000, [(v, rng.randrange(v)) for v in range(1, 3000)])
+
+    def refuse(self):
+        raise AssertionError(f"{self} hashed")
+
+    monkeypatch.setattr(CellKind, "__hash__", refuse)
+    report = analyze(g)
+    assert sum(1 for r in report.components if len(r.cells) > 1) > 50
+    assert report.to_json()["fix_number"] == report.fix_number > 0
 
 
 def test_long_path():
