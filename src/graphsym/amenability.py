@@ -124,6 +124,9 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     verdict, p = cr_partition(g, h)
     if verdict.outcome is CrOutcome.DISTINGUISHED:
         return IsoVerdict.NOT_ISOMORPHIC
-    if _judge(g, Partition.from_colors(p.cell_of[:g.n])).amenable:
+    # each cell holds as many vertices of g as of h, g's first: its first
+    # half is g's cell, numbered by the same lowest vertex
+    half = Partition(cell_of=p.cell_of[:g.n], cells=tuple(c[:len(c) // 2] for c in p.cells))
+    if _judge(g, half).amenable:
         return IsoVerdict.ISOMORPHIC
     return IsoVerdict.HEURISTIC_EQUIVALENT

@@ -49,9 +49,13 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return g
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human: str | None = None) -> None:
+    """Print payload as one JSON line under --json, else the human text.
+    No human text stands for the payload indented, built only when printed."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
+    elif human is None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
 
@@ -79,7 +83,7 @@ def _cmd_cells(args) -> int:
     cg = cell_graph_of_equitable(g, stable_partition(g))
     payload = cg.to_json()
     payload["components"] = [c.to_json() for c in anisotropic_components(cg)]
-    _emit(args, payload, json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -100,7 +104,7 @@ def _symmetry_command(args, field: str) -> int:
     except NotAmenable as exc:
         return _fail(args, exc, EXIT_REFUSED)
     if args.components:
-        _emit(args, report.to_json(), json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _emit(args, report.to_json())
     else:
         value = getattr(report, field)
         _emit(args, {field: value}, str(value))

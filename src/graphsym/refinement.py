@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .graph import Graph, disjoint_union
+from .graph import Graph, union_graph
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,23 @@ class Partition:
 
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Partition":
-        """Group vertices by color value; colors need not be contiguous."""
-        groups: dict[int, list[int]] = {}
+        """Group vertices by color value; colors need not be contiguous.
+
+        One pass over the vertices: a cell is numbered when its lowest
+        vertex is met, and its members are appended in increasing order.
+        """
+        index: dict[int, int] = {}
+        cells: list[list[int]] = []
+        cell_of: list[int] = []
         for v, col in enumerate(colors):
-            groups.setdefault(col, []).append(v)
-        return cls._canonical(list(groups.values()), len(colors))
+            c = index.get(col)
+            if c is None:
+                c = index[col] = len(cells)
+                cells.append([v])
+            else:
+                cells[c].append(v)
+            cell_of.append(c)
+        return cls(cell_of=tuple(cell_of), cells=tuple(map(tuple, cells)))
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence[int]], n: int | None = None) -> "Partition":
@@ -49,24 +64,19 @@ class Partition:
             n = len(members)
         if sorted(members) != list(range(n)):
             raise InvalidPartition(f"cells do not partition 0..{n - 1}")
-        return cls._canonical([list(c) for c in cells if c], n)
+        colors = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        return cls.from_colors(colors)
 
     @classmethod
     def unit(cls, n: int) -> "Partition":
-        return cls._canonical([list(range(n))] if n else [], n)
+        return cls.from_colors([0] * n)
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls._canonical([[v] for v in range(n)], n)
-
-    @classmethod
-    def _canonical(cls, raw_cells: list[list[int]], n: int) -> "Partition":
-        ordered = sorted((sorted(c) for c in raw_cells), key=lambda c: c[0])
-        cell_of = [0] * n
-        for i, cell in enumerate(ordered):
-            for v in cell:
-                cell_of[v] = i
-        return cls(cell_of=tuple(cell_of), cells=tuple(tuple(c) for c in ordered))
+        return cls.from_colors(range(n))
 
     def to_json(self) -> dict:
         return {"cells": [list(c) for c in self.cells]}
@@ -89,101 +99,120 @@ class CrVerdict:
         return out
 
 
-def _check_initial(g: Graph, initial: Partition) -> None:
-    if initial.n != g.n:
-        raise InvalidPartition(
-            f"partition covers {initial.n} vertices, graph has {g.n}"
-        )
+def _check_initial(g: Graph, n: int) -> None:
+    if n != g.n:
+        raise InvalidPartition(f"partition covers {n} vertices, graph has {g.n}")
 
 
 def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int]) -> list[int]:
     """Worklist refinement core; returns a raw (non-canonical) cell id per vertex.
 
-    Splitters are whole current cells; when a cell splits, the largest
-    fragment keeps the old id and, if the old id is no longer queued, is the
-    one fragment not re-queued.  Every vertex therefore re-enters the queue
-    only in cells at most half the size of the previous one, which gives the
-    (n + m) log n bound.
+    Splitters are whole current cells.  A splitter touches the vertices it
+    has neighbours in; vertices of singleton cells are skipped, since those
+    cells cannot split.  When a cell splits, its largest fragment keeps the
+    old id, and with it the old id's place in the queue if it has one; every
+    other fragment gets a new id and is queued.  A vertex is therefore queued
+    anew only in a cell at most half the size of the one it left, which gives
+    the (n + m) log n bound.  A cell splits in one of two ways:
+
+    - touched against untouched, when all its touched vertices have the same
+      count of splitter neighbours (always so for a singleton splitter, where
+      the count is 1): no grouping, no sort;
+    - by count, when they have two or more counts: the touched vertices are
+      grouped by count and the groups ordered, after the untouched ones.
     """
     n = len(colors)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    verts = order[:]
-    pos = [0] * n
-    for i, v in enumerate(verts):
-        pos[v] = i
-    cell_of = [0] * n
-    cell_start: list[int] = []
-    cell_size: list[int] = []
-    prev = None
-    for i, v in enumerate(verts):
-        if colors[v] != prev:
-            cell_start.append(i)
-            cell_size.append(0)
-            prev = colors[v]
-        cid = len(cell_start) - 1
-        cell_of[v] = cid
-        cell_size[cid] += 1
+    index: dict[int, int] = {}
+    cell_of = [index.setdefault(col, len(index)) for col in colors]
+    cell_size = [0] * len(index)
+    for c in cell_of:
+        cell_size[c] += 1
+    cell_start = list(accumulate(cell_size, initial=0))[:-1]
+    fill = cell_start[:]
+    verts, pos = [0] * n, [0] * n
+    for v, c in enumerate(cell_of):
+        at = fill[c]
+        fill[c] = at + 1
+        verts[at], pos[v] = v, at
 
-    work: deque[int] = deque(range(len(cell_start)))
-    in_work = [True] * len(cell_start)
+    work = deque(range(len(cell_size)))
     cnt = [0] * n
-
+    touched: defaultdict[int, list[int]] = defaultdict(list)
     while work:
         s = work.popleft()
-        in_work[s] = False
-        members = verts[cell_start[s]: cell_start[s] + cell_size[s]]
-        touched: dict[int, list[int]] = {}
-        for v in members:
-            for u in adj[v]:
-                if cnt[u] == 0:
-                    touched.setdefault(cell_of[u], []).append(u)
-                cnt[u] += 1
+        start = cell_start[s]
+        touched.clear()
+        counted = cell_size[s] > 1
+        if counted:
+            for v in verts[start: start + cell_size[s]]:
+                for u in adj[v]:
+                    if cnt[u]:
+                        cnt[u] += 1
+                    elif cell_size[c := cell_of[u]] > 1:
+                        cnt[u] = 1
+                        touched[c].append(u)
+        else:
+            for u in adj[verts[start]]:
+                if cell_size[c := cell_of[u]] > 1:
+                    touched[c].append(u)
         for c, tm in touched.items():
-            size_c = cell_size[c]
-            if size_c > 1:
-                groups: dict[int, list[int]] = {}
+            groups = None
+            if counted:
+                first = cnt[tm[0]]
                 for u in tm:
-                    groups.setdefault(cnt[u], []).append(u)
-                if len(groups) > 1 or len(tm) < size_c:
-                    frag_items = sorted(groups.items())
-                    start_c = cell_start[c]
-                    end = start_c + size_c
-                    for _, grp in reversed(frag_items):
-                        for u in grp:
-                            end -= 1
-                            pu = pos[u]
-                            w = verts[end]
-                            verts[end] = u
-                            verts[pu] = w
-                            pos[u] = end
-                            pos[w] = pu
-                    bounds: list[tuple[int, int]] = []
-                    off = start_c
-                    untouched = size_c - len(tm)
-                    if untouched:
-                        bounds.append((off, untouched))
-                        off += untouched
-                    for _, grp in frag_items:
-                        bounds.append((off, len(grp)))
-                        off += len(grp)
-                    largest = max(range(len(bounds)), key=lambda i: bounds[i][1])
-                    for i, (st, sz) in enumerate(bounds):
-                        if i == largest:
-                            cell_start[c] = st
-                            cell_size[c] = sz
-                        else:
-                            nid = len(cell_start)
-                            cell_start.append(st)
-                            cell_size.append(sz)
-                            for k in range(st, st + sz):
-                                cell_of[verts[k]] = nid
-                            work.append(nid)
-                            in_work.append(True)
-        for tm in touched.values():
-            for u in tm:
-                cnt[u] = 0
+                    if cnt[u] != first:
+                        groups = defaultdict(list)
+                        for w in tm:
+                            groups[cnt[w]].append(w)
+                            cnt[w] = 0
+                        break
+                else:
+                    for u in tm:
+                        cnt[u] = 0
+            lo, size, t = cell_start[c], cell_size[c], len(tm)
+            rest = size - t
+            if groups is not None:
+                order = sorted(groups)
+                moved = chain.from_iterable(map(groups.get, reversed(order)))
+            elif rest:
+                moved = tm
+            else:
+                continue
+            end = lo + size
+            for u in moved:  # the touched go to the end of the cell, counts ascending
+                end -= 1
+                pu, w = pos[u], verts[end]
+                verts[end], verts[pu] = u, w
+                pos[u], pos[w] = end, pu
+            if groups is None:  # the touched are the new cell unless they outnumber the rest
+                nid = len(cell_size)
+                work.append(nid)
+                if t <= rest:
+                    cell_size[c] = rest
+                    cell_start.append(end)
+                    cell_size.append(t)
+                    for u in tm:
+                        cell_of[u] = nid
+                else:
+                    cell_start[c], cell_size[c] = end, t
+                    cell_start.append(lo)
+                    cell_size.append(rest)
+                    for k in range(lo, end):
+                        cell_of[verts[k]] = nid
+                continue
+            spans, at = [(lo, rest)] if rest else [], end
+            for k in order:
+                spans.append((at, len(groups[k])))
+                at += len(groups[k])
+            largest = spans.index(max(spans, key=itemgetter(1)))  # the first, on ties
+            cell_start[c], cell_size[c] = spans.pop(largest)
+            for at, sz in spans:
+                nid = len(cell_size)
+                cell_start.append(at)
+                cell_size.append(sz)
+                for k in range(at, at + sz):
+                    cell_of[verts[k]] = nid
+                work.append(nid)
     return cell_of
 
 
@@ -193,31 +222,30 @@ def refine(g: Graph, initial: Partition | Sequence[int]) -> Partition:
     ``initial`` may be a Partition or a per-vertex color sequence.  The
     result is deterministic: cells are numbered by minimum vertex index.
     """
-    if not isinstance(initial, Partition):
-        initial = Partition.from_colors(initial)
-    _check_initial(g, initial)
-    raw = _refine_colors(g.adjacency, initial.cell_of)
-    return Partition.from_colors(raw)
+    colors = initial.cell_of if isinstance(initial, Partition) else initial
+    _check_initial(g, len(colors))
+    return Partition.from_colors(_refine_colors(g.adjacency, colors))
 
 
 def stable_partition(g: Graph) -> Partition:
     """Coarsest equitable partition of g (refinement of the unit partition)."""
-    return refine(g, Partition.unit(g.n))
+    return Partition.from_colors(_refine_colors(g.adjacency, [0] * g.n))
 
 
 def first_deviation(g: Graph, p: Partition) -> tuple[int, int] | None:
     """The first vertex, with its cell, whose per-cell neighbor counts differ
     from those of the lowest vertex in its cell; None if p is equitable."""
-    _check_initial(g, p)
-    cell_of = p.cell_of
+    _check_initial(g, p.n)
+    cell_of, cells = p.cell_of, p.cells
     reference: dict[int, dict[int, int]] = {}
     profile: dict[int, int] = {}
-    for v in range(g.n):
+    for v, c in enumerate(cell_of):
+        if len(cells[c]) == 1:  # its own reference
+            continue
         profile.clear()
         for u in g.adjacency[v]:
-            c = cell_of[u]
-            profile[c] = profile.get(c, 0) + 1
-        c = cell_of[v]
+            cu = cell_of[u]
+            profile[cu] = profile.get(cu, 0) + 1
         ref = reference.get(c)
         if ref is None:
             reference[c] = dict(profile)
@@ -234,11 +262,9 @@ def is_equitable(g: Graph, p: Partition) -> bool:
 def cr_partition(g: Graph, h: Graph) -> tuple[CrVerdict, Partition]:
     """The CR verdict on g and h plus the stable partition of their disjoint
     union, in which g's vertices keep their ids and h's follow them."""
-    union, _origin = disjoint_union(g, h)
-    p = stable_partition(union)
+    p = stable_partition(union_graph(g, h))
     for i, cell in enumerate(p.cells):
-        from_g = sum(1 for v in cell if v < g.n)
-        if 2 * from_g != len(cell):
+        if 2 * bisect_left(cell, g.n) != len(cell):  # cells list their members in order
             return CrVerdict(outcome=CrOutcome.DISTINGUISHED, witness_cell=i), p
     return CrVerdict(outcome=CrOutcome.CR_EQUIVALENT), p
 

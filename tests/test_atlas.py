@@ -74,3 +74,27 @@ def test_atlas_relabelled_copies(atlas):
         rng.shuffle(perm)
         expected = IsoVerdict.ISOMORPHIC if ok else IsoVerdict.HEURISTIC_EQUIVALENT
         assert amenable_iso(g, relabel(g, perm)) is expected, g
+
+
+def test_amenable_iso_judges_g_on_its_stable_partition(atlas, monkeypatch):
+    """When CR does not tell g and h apart, the first half of each union cell
+    is g's cell: amenable_iso judges g on exactly stable_partition(g)."""
+    from graphsym import amenability, stable_partition
+
+    judged = []
+    judge = amenability._judge
+
+    def spy(g, p):
+        judged.append((g, p))
+        return judge(g, p)
+
+    monkeypatch.setattr(amenability, "_judge", spy)
+    rows, shared = atlas
+    rng = random.Random(1)
+    pairs = [(g, relabel(g, rng.sample(range(g.n), g.n))) for g, _ok, _verdict in rows]
+    pairs += [(g, h) for cls in shared for g in cls for h in cls if g is not h]
+    for g, h in pairs:
+        amenable_iso(g, h)
+    assert len(judged) == len(pairs) == 1253 + 52
+    for g, p in judged:
+        assert p == stable_partition(g), g

@@ -266,3 +266,34 @@ def test_commands_load_only_the_modules_they_run(fig1_file):
     assert loaded("amenable", fig1_file) == base
     assert loaded("iso", fig1_file, fig1_file) == base
     assert loaded("dist", fig1_file) == base | {"graphsym.symmetry"}
+
+
+PAYLOAD_COMMANDS = [["cells"], ["dist", "--components"], ["fix", "--components"]]
+
+
+@pytest.mark.parametrize("argv", PAYLOAD_COMMANDS, ids=lambda a: a[0])
+def test_human_text_is_the_json_payload_indented(fig1_file, capsys, argv):
+    assert run(["--json", *argv, fig1_file]) == 0
+    compact = capsys.readouterr().out
+    assert run([*argv, fig1_file]) == 0
+    payload = json.loads(compact)
+    assert compact == json.dumps(payload, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_mode_builds_no_indented_text(fig1_file, capsys, monkeypatch):
+    indented = []
+    dumps = json.dumps
+
+    def counting(obj, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    for argv in PAYLOAD_COMMANDS:
+        assert run(["--json", *argv, fig1_file]) == 0
+    assert indented == []
+    assert run(["cells", fig1_file]) == 0  # the counter sees the human text
+    assert len(indented) == 1
+    capsys.readouterr()

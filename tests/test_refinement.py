@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from graphsym import (
     CrOutcome,
     Partition,
+    build_cell_graph,
     cr_iso_test,
     disjoint_union,
     is_equitable,
@@ -15,8 +18,9 @@ from graphsym import (
     relabel,
     stable_partition,
 )
-from graphsym.errors import InvalidPartition
+from graphsym.errors import InvalidPartition, NotEquitable
 from graphsym.generators import named
+from graphsym.refinement import first_deviation
 
 from .conftest import graphs, refines, set_partitions
 
@@ -137,3 +141,32 @@ def test_automorphisms_preserve_stable_cells(g):
     p = stable_partition(g)
     for perm in oracle.automorphisms(g, limit_n=7).elements:
         assert all(p.cell_of[v] == p.cell_of[perm[v]] for v in range(g.n))
+
+
+def per_vertex_deviation(g, p: Partition) -> tuple[int, int] | None:
+    """The first vertex whose neighbour count per cell differs from that of
+    its cell's lowest vertex, with that cell; None if there is none."""
+    def profile(v):
+        return Counter(p.cell_of[u] for u in g.adjacency[v])
+
+    for v in range(g.n):
+        c = p.cell_of[v]
+        if profile(v) != profile(min(p.cells[c])):
+            return v, c
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=1, max_n=10), st.data())
+def test_first_deviation_matches_per_vertex_reference(g, data):
+    k = data.draw(st.integers(1, g.n))
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+    p = Partition.from_colors(colors)
+    expected = per_vertex_deviation(g, p)
+    assert first_deviation(g, p) == expected
+    if expected is None:
+        build_cell_graph(g, p)
+    else:
+        with pytest.raises(NotEquitable) as info:
+            build_cell_graph(g, p)
+        assert (info.value.vertex, info.value.cell) == expected

@@ -1,0 +1,65 @@
+"""refine at 10^3-10^4 vertices against the round-based reference in
+``naive_refinement``, and under relabelling."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from graphsym import from_edge_list, refine, relabel, stable_partition
+from graphsym.graph import Graph, disjoint_union
+
+from .naive_refinement import refine_rounds
+
+
+def recursive_tree(rng: random.Random, n: int) -> Graph:
+    return from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def gnm(rng: random.Random, n: int, m: int) -> Graph:
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return from_edge_list(n, sorted(edges))
+
+
+def with_relabelled_copy(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return disjoint_union(g, relabel(g, perm))[0]
+
+
+# (name, graph builder, number of initial colours: 1 is the unit partition).
+# G(n, 3n) refines to nearly all singleton cells, a random tree to thousands
+# of cells, and a graph beside a relabelled copy to cells of even size.
+CASES = [
+    ("tree", lambda rng: recursive_tree(rng, 10_000), 1),
+    ("tree-3-colours", lambda rng: recursive_tree(rng, 4_000), 3),
+    ("gnm", lambda rng: gnm(rng, 10_000, 30_000), 1),
+    ("gnm-1500-colours", lambda rng: gnm(rng, 3_000, 9_000), 1_500),
+    ("tree-and-copy", lambda rng: with_relabelled_copy(rng, recursive_tree(rng, 3_000)), 1),
+    ("gnm-and-copy", lambda rng: with_relabelled_copy(rng, gnm(rng, 1_000, 3_000)), 1),
+]
+
+
+@pytest.mark.parametrize("name, build, k", CASES, ids=[c[0] for c in CASES])
+def test_refine_matches_round_based_reference(name, build, k):
+    rng = random.Random(name)
+    g = build(rng)
+    colors = [rng.randrange(k) for _ in range(g.n)]
+    p = stable_partition(g) if k == 1 else refine(g, colors)
+    expected = refine_rounds(g.adjacency, colors)
+    cells: list[list[int]] = [[] for _ in range(max(expected, default=-1) + 1)]
+    for v, c in enumerate(expected):
+        cells[c].append(v)
+    assert (p.cell_of, p.cells) == (expected, tuple(map(tuple, cells)))
+
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    moved = [0] * g.n
+    for v, col in enumerate(colors):
+        moved[perm[v]] = col
+    image = {frozenset(perm[v] for v in cell) for cell in p.cells}
+    assert image == {frozenset(cell) for cell in refine(relabel(g, perm), moved).cells}
