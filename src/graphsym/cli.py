@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import traceback
 
 from .amenability import amenable_iso, check_amenable
@@ -74,7 +73,8 @@ def _fail(args, exc: Exception, code: int) -> int:
 def _cmd_refine(args) -> int:
     g = _load_graph(args.graph, args.format)
     p = stable_partition(g)
-    _emit(args, p.to_json(), "\n".join(" ".join(map(str, c)) for c in p.cells))
+    human = None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
+    _emit(args, p.to_json(), human)
     return EXIT_OK
 
 
@@ -189,37 +189,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    from . import generators
-    from .symmetry import analyze
-
-    sizes = [int(s) for s in args.sizes.split(",")]
-    print("n,m,refine_s,amenable_s,symmetry_s", flush=True)
-    prev_total = None
-    for size in sizes:
-        g, _partition = generators.random_amenable(size, seed=args.seed)
-        t0 = time.perf_counter()
-        stable_partition(g)
-        t1 = time.perf_counter()
-        verdict = check_amenable(g)
-        t2 = time.perf_counter()
-        report = analyze(g, verdict=verdict)
-        t3 = time.perf_counter()
-        amenable_s, symmetry_s = t2 - t1, t3 - t2
-        print(f"{g.n},{g.m},{t1 - t0:.4f},{amenable_s:.4f},{symmetry_s:.4f}", flush=True)
-        total = amenable_s + symmetry_s
-        note = ""
-        if prev_total:
-            note = f" (x{total / prev_total:.2f} vs previous size)"
-        print(
-            f"n={g.n} m={g.m} D={report.dist_number} Fix={report.fix_number} "
-            f"amenable+symmetry {total:.3f}s{note}",
-            file=sys.stderr,
-        )
-        prev_total = total
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError where argparse would print usage and exit 2."""
 
@@ -280,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", default="-")
         q.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
         q.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="timing table for generated instances (CSV on stdout)")
-    p.add_argument("--sizes", default="10000,20000,40000,80000,160000")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

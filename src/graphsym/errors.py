@@ -45,13 +45,6 @@ class NotEquitable(GraphSymError, ValueError):
         self.cell = cell
 
 
-class UnsupportedRootKind(GraphSymError):
-    def __init__(self, cell: int, kind: str):
-        super().__init__(f"root cell {cell} has unsupported kind {kind} (upstream amenability bug)")
-        self.cell = cell
-        self.kind = kind
-
-
 class NotAmenable(GraphSymError):
     """Raised by the fast dist/fix path; carries the failing verdict."""
 
@@ -65,10 +58,6 @@ class TooLarge(GraphSymError):
         super().__init__(f"instance size {n} exceeds oracle guard {limit} (override with a larger limit)")
         self.n = n
         self.limit = limit
-
-
-class DivisibilityViolated(GraphSymError):
-    """The automorphism action on distinguishing labelings was not free; signals a bug."""
 
 
 class NotAmenableComponent(GraphSymError):

@@ -11,21 +11,15 @@ pipeline, so the two sides can check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 from typing import Mapping, Sequence
 
 from .cells import CellKind, Component, PairKind, build_cell_graph
-from .errors import (
-    DivisibilityViolated,
-    InternalError,
-    NotAmenableComponent,
-    TooLarge,
-)
+from .errors import InternalError, NotAmenableComponent, TooLarge
 from .graph import Graph, from_edge_list
 from .refinement import Partition
 
-AUT_LIMIT_DEFAULT = 10
 SEARCH_LIMIT_DEFAULT = 8
 _GROUP_CAP = 20000  # above this, per-coloring checks search instead of scanning
 
@@ -39,9 +33,6 @@ class AutGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in set(self.elements)
 
 
 @dataclass(frozen=True)
@@ -103,75 +94,72 @@ def _adj_sets(g: Graph) -> list[frozenset[int]]:
     return [frozenset(row) for row in g.adjacency]
 
 
-def _search_automorphisms(g: Graph, colors, *, collect: bool,
-                          cap: int | None = None, skip_identity: bool = False):
-    """Backtracking over color- and adjacency-consistent vertex images.
+def _maps(g: Graph, h: Graph, key_g, key_h, order):
+    """Every bijection g -> h that keeps the keys and adjacency, by backtracking.
 
-    With collect=True returns a list of permutations (or None if ``cap`` was
-    exceeded).  With collect=False returns the first complete automorphism
-    found (skipping the identity when asked) or None.
+    Vertices of g are mapped in ``order``; each is tried against the unused
+    vertices of h with its key, in ascending id, and a candidate is kept only
+    if it is adjacent to exactly the images of g's already mapped neighbours.
+    One candidate iterator per mapped vertex sits on an explicit stack, so
+    the depth is not bounded by recursion.  Yields ``image`` tuples, where
+    ``image[v]`` is the vertex of h that v maps to.
     """
     n = g.n
     adj = _adj_sets(g)
-    key = [(colors[v], len(adj[v])) for v in range(n)]
-    sizes: dict[tuple, int] = {}
-    for k in key:
-        sizes[k] = sizes.get(k, 0) + 1
-    order = sorted(range(n), key=lambda v: (sizes[key[v]], key[v], v))
+    adj_h = adj if h is g else _adj_sets(h)
+    candidates: dict = {}
+    for w in range(n):
+        candidates.setdefault(key_h[w], []).append(w)
+    if n == 0:
+        yield ()
+        return
     image = [-1] * n
-    used = [False] * n
     used_images: set[int] = set()
-    identity = tuple(range(n))
-    found: list[tuple[int, ...]] = []
-
-    def extend(i: int):
-        if i == n:
-            perm = tuple(image)
-            if skip_identity and perm == identity:
-                return None
-            if collect:
-                found.append(perm)
-                if cap is not None and len(found) > cap:
-                    return "overflow"
-                return None
-            return perm
-        v = order[i]
-        kv = key[v]
+    stack = [iter(candidates.get(key_g[order[0]], ()))]
+    while stack:
+        v = order[len(stack) - 1]
+        if image[v] >= 0:  # step past the image tried last
+            used_images.discard(image[v])
+            image[v] = -1
         av = adj[v]
-        for w in range(n):
-            if used[w] or key[w] != kv:
+        for w in stack[-1]:
+            if w in used_images:
                 continue
-            aw = adj[w]
+            aw = adj_h[w]
             cnt = 0
-            ok = True
             for u in av:
                 iu = image[u]
                 if iu >= 0:
                     if iu not in aw:
-                        ok = False
                         break
                     cnt += 1
-            if not ok or len(aw & used_images) != cnt:
-                continue
-            image[v] = w
-            used[w] = True
-            used_images.add(w)
-            result = extend(i + 1)
-            used[w] = False
-            used_images.discard(w)
-            image[v] = -1
-            if result is not None:
-                return result
-        return None
+            else:  # mapped neighbours land in aw; no other mapped vertex does
+                if len(aw & used_images) == cnt:
+                    break
+        else:
+            stack.pop()
+            continue
+        image[v] = w
+        used_images.add(w)
+        if len(stack) == n:
+            yield tuple(image)
+        else:
+            stack.append(iter(candidates.get(key_g[order[len(stack)]], ())))
 
-    result = extend(0)
-    if collect:
-        return None if result == "overflow" else found
-    return result
+
+def _automorphisms_of(g: Graph, colors):
+    """Every automorphism of g preserving ``colors``, via ``_maps``; the
+    rarest (color, degree) keys are mapped first."""
+    key = [(colors[v], len(row)) for v, row in enumerate(g.adjacency)]
+    sizes: dict[tuple, int] = {}
+    for k in key:
+        sizes[k] = sizes.get(k, 0) + 1
+    order = sorted(range(g.n), key=lambda v: (sizes[key[v]], key[v], v))
+    return _maps(g, g, key, key, order)
 
 
 def automorphisms(g: Graph, p: Partition | None = None,
-                  limit_n: int = AUT_LIMIT_DEFAULT) -> AutGroup:
+                  limit_n: int = SEARCH_LIMIT_DEFAULT) -> AutGroup:
     """Exact full enumeration of Aut(G), or of the cell-preserving Aut(G, P).
 
     Pruning uses degrees (forced for any automorphism) and the given cells
@@ -180,15 +168,13 @@ def automorphisms(g: Graph, p: Partition | None = None,
     if g.n > limit_n:
         raise TooLarge(g.n, limit_n)
     colors = p.cell_of if p is not None else [0] * g.n
-    elements = _search_automorphisms(g, colors, collect=True)
-    assert elements is not None
-    elements.sort()
-    return AutGroup(elements=tuple(elements))
+    return AutGroup(elements=tuple(sorted(_automorphisms_of(g, colors))))
 
 
 def _find_preserving(g: Graph, colors) -> tuple[int, ...] | None:
     """Some nontrivial automorphism preserving the given colors, or None."""
-    return _search_automorphisms(g, colors, collect=False, skip_identity=True)
+    identity = tuple(range(g.n))
+    return next((perm for perm in _automorphisms_of(g, colors) if perm != identity), None)
 
 
 def is_rigid(g: Graph, p: Partition | None = None) -> bool:
@@ -199,56 +185,15 @@ def is_rigid(g: Graph, p: Partition | None = None) -> bool:
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """An isomorphism g -> h by exhaustive backtracking, or None.
 
-    Vertices of g are taken in order of decreasing degree; each is tried
-    against the unused vertices of h with the same degree, and a candidate
-    is kept only if it is adjacent to exactly the images of g's already
-    mapped neighbours.  ``image[v]`` is the vertex of h that v maps to.
+    Vertices of g are taken in order of decreasing degree and matched
+    against the vertices of h with the same degree.
     """
     if g.n != h.n or g.m != h.m or g.degree_sequence() != h.degree_sequence():
         return None
-    n = g.n
-    adj = _adj_sets(g)
-    adj_h = _adj_sets(h)
-    degrees_h: dict[int, list[int]] = {}
-    for w in range(n):
-        degrees_h.setdefault(len(adj_h[w]), []).append(w)
-    image = [-1] * n
-    used = [False] * n
-    used_images: set[int] = set()
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-
-    def extend(i: int):
-        if i == n:
-            return tuple(image)
-        v = order[i]
-        av = adj[v]
-        for w in degrees_h.get(len(av), ()):
-            if used[w]:
-                continue
-            aw = adj_h[w]
-            cnt = 0
-            ok = True
-            for u in av:
-                iu = image[u]
-                if iu >= 0:
-                    if iu not in aw:
-                        ok = False
-                        break
-                    cnt += 1
-            if not ok or len(aw & used_images) != cnt:
-                continue
-            image[v] = w
-            used[w] = True
-            used_images.add(w)
-            result = extend(i + 1)
-            used[w] = False
-            used_images.discard(w)
-            image[v] = -1
-            if result is not None:
-                return result
-        return None
-
-    return extend(0)
+    key_g = [len(row) for row in g.adjacency]
+    key_h = [len(row) for row in h.adjacency]
+    order = sorted(range(g.n), key=lambda v: (-key_g[v], v))
+    return next(_maps(g, h, key_g, key_h, order), None)
 
 
 # ------------------------------------------------------- distinguishing side
@@ -281,8 +226,8 @@ def _make_checker(g: Graph, base):
     """Returns is_distinguishing(coloring): no nontrivial automorphism
     preserves both the base colors and the coloring."""
     n = g.n
-    group = _search_automorphisms(g, base, collect=True, cap=_GROUP_CAP)
-    if group is not None:
+    group = list(islice(_automorphisms_of(g, base), _GROUP_CAP + 1))
+    if len(group) <= _GROUP_CAP:
         nontrivial = sorted(
             (p for p in group if p != tuple(range(n))),
             key=lambda p: sum(1 for v in range(n) if p[v] != v),
@@ -316,25 +261,34 @@ def _exists_distinguishing(g: Graph, base, c: int, checker) -> bool:
 
     Canonical first-use color order (distinguishing-ness is invariant under
     recoloring bijections) and twin separation (equal-colored twins admit a
-    color-preserving swap) prune without losing completeness.
+    color-preserving swap) prune without losing completeness.  The stack
+    holds, per colored vertex, the iterator over its remaining colors and
+    the highest color used before it.
     """
     n = g.n
     twins = _earlier_twins(g, base)
     coloring = [0] * n
 
-    def dfs(v: int, max_used: int) -> bool:
-        if v == n:
-            return checker(coloring)
+    def colors_for(v: int, max_used: int):
         banned = {coloring[u] for u in twins[v]}
-        for col in range(min(c - 1, max_used + 1) + 1):
-            if col in banned:
-                continue
-            coloring[v] = col
-            if dfs(v + 1, max(max_used, col)):
-                return True
-        return False
+        return (col for col in range(min(c - 1, max_used + 1) + 1) if col not in banned)
 
-    return dfs(0, -1)
+    stack = [(colors_for(0, -1), -1)]
+    while stack:
+        cols, max_used = stack[-1]
+        col = next(cols, None)
+        if col is None:
+            stack.pop()
+            continue
+        v = len(stack) - 1
+        coloring[v] = col
+        if v + 1 == n:
+            if checker(coloring):
+                return True
+        else:
+            max_used = max(max_used, col)
+            stack.append((colors_for(v + 1, max_used), max_used))
+    return False
 
 
 def dist_number_bf(g: Graph, p: Partition | None = None,
@@ -359,30 +313,17 @@ def dist_count_bf(g: Graph, p: Partition | None = None, c: int = 2,
     """Number of pairwise inequivalent distinguishing labelings with <= c colors.
 
     Counts all distinguishing labelings and divides by |Aut(g, p)|, which is
-    exact because the action on distinguishing labelings is free; the
-    divisibility is asserted.
+    exact because the action on distinguishing labelings is free; a
+    remainder is reported as a bug.
     """
     if g.n > limit:
         raise TooLarge(g.n, limit)
     base = p.cell_of if p is not None else [0] * g.n
-    group = _search_automorphisms(g, base, collect=True)
-    assert group is not None
-    order = len(group)
-    nontrivial = sorted(
-        (perm for perm in group if perm != tuple(range(g.n))),
-        key=lambda perm: sum(1 for v in range(g.n) if perm[v] != v),
-    )
-    total = 0
-    for coloring in product(range(c), repeat=g.n):
-        if not any(
-            all(coloring[perm[v]] == coloring[v] for v in range(g.n))
-            for perm in nontrivial
-        ):
-            total += 1
+    order = sum(1 for _ in _automorphisms_of(g, base))
+    check = _make_checker(g, base)
+    total = sum(1 for coloring in product(range(c), repeat=g.n) if check(coloring))
     if total % order:
-        raise DivisibilityViolated(
-            f"{total} distinguishing labelings not divisible by |Aut| = {order}"
-        )
+        raise InternalError(f"{total} distinguishing labelings not divisible by |Aut| = {order}")
     return total // order
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
 from .cells import CellGraph, CellKind, Component, Components
-from .errors import BadCap, InternalError, NotAmenable, UnsupportedRootKind
+from .errors import BadCap, InternalError, NotAmenable
 from .graph import Graph
 
 
@@ -106,7 +106,9 @@ def head_of_component(cg: CellGraph, comp: Component) -> HeadKind:
         return HeadKind(shape=HeadShape.FIVE_CYCLE, size=size)
     if kind in (CellKind.MATCHING, CellKind.CO_MATCHING):
         return HeadKind(shape=HeadShape.CO_MATCHING, size=size)
-    raise UnsupportedRootKind(comp.root, kind.value)
+    raise InternalError(
+        f"root cell {comp.root} has unsupported kind {kind.value} (upstream amenability bug)"
+    )
 
 
 def head_invariants(head: HeadKind) -> tuple[int, int]:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 import warnings
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphsym import IsoVerdict, amenable_iso, check_amenable, from_edge_list, oracle
 from graphsym.graph import relabel
@@ -98,3 +100,36 @@ def test_amenable_iso_judges_g_on_its_stable_partition(atlas, monkeypatch):
     assert len(judged) == len(pairs) == 1253 + 52
     for g, p in judged:
         assert p == stable_partition(g), g
+
+
+def _nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def test_atlas_oracle_search_matches_vf2(atlas):
+    """The oracle's vertex-image search against networkx's VF2 matcher:
+    group orders, an isomorphism onto a relabelled copy, and the iso
+    decision on each graph with its copy and on every pair of atlas graphs
+    with equal degree sequences."""
+    rows, _shared = atlas
+    rng = random.Random(2)
+    pairs = []
+    by_degrees: dict[tuple, list] = {}
+    for g, _ok, _verdict in rows:
+        G = _nx(g)
+        assert oracle.automorphisms(g).order == sum(
+            1 for _ in GraphMatcher(G, G).isomorphisms_iter()), g
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        image = oracle.find_isomorphism(g, h)
+        assert image is not None and sorted(image) == list(range(g.n)), g
+        assert sorted(tuple(sorted((image[u], image[v]))) for u, v in g.edges()) == sorted(
+            h.edges()), g
+        pairs.append(((g, G), (h, _nx(h))))
+        by_degrees.setdefault(g.degree_sequence(), []).append((g, G))
+    pairs += [pair for group in by_degrees.values() for pair in combinations(group, 2)]
+    assert len(pairs) == 1253 + 3375
+    for (g, G), (h, H) in pairs:
+        assert (oracle.find_isomorphism(g, h) is not None) == nx.is_isomorphic(G, H), (g, h)

@@ -51,6 +51,23 @@ def test_refine_json_is_stable(fig1_file, capsys):
     assert json.loads(first) == {"cells": [[0], [1, 4, 5, 8], [2, 3, 6, 7], [9, 10]]}
 
 
+def test_refine_builds_its_cell_listing_only_when_printed(fig1_file, capsys, monkeypatch):
+    from graphsym import cli
+
+    humans = []
+    emit = cli._emit
+
+    def spy(args, payload, human=None):
+        humans.append(human)
+        emit(args, payload, human)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert run(["--json", "refine", fig1_file]) == 0
+    assert run(["refine", fig1_file]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert humans == [None, "\n".join(printed[1:])]
+
+
 def test_amenable_verdicts(fig1_file, c6_file, capsys):
     assert run(["--json", "amenable", fig1_file]) == 0
     assert json.loads(capsys.readouterr().out)["amenable"] is True
@@ -154,13 +171,6 @@ def test_missing_file_is_io_error(capsys):
     assert run(["dist", "/nonexistent/graph.txt"]) == 1
 
 
-def test_bench_smoke(capsys):
-    assert run(["bench", "--sizes", "1000,2000", "--seed", "5"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,m,refine_s,amenable_s,symmetry_s"
-    assert len(lines) == 3
-
-
 def test_cells_reports_non_tree_component(tmp_path, capsys):
     from .test_cells import _star_cycle_graph
 
@@ -193,13 +203,29 @@ def test_gen_spec_malformed_is_bad_spec(tmp_path, capsys, text):
     assert json.loads(capsys.readouterr().out)["error"] == "BadSpec"
 
 
-def test_oracle_recursion_is_internal_error(tmp_path, capsys):
-    path = tmp_path / "p5000.txt"
-    path.write_text(format_edge_list(named("pn", 5000)))
-    assert run(["--json", "oracle", "aut", str(path), "--max-oracle-n", "100000"]) == 3
+def test_oracle_answers_past_the_recursion_limit(tmp_path, capsys):
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    path = tmp_path / "p1500.txt"
+    path.write_text(format_edge_list(named("pn", n)))
+    expected = {"aut": {"order": 2}, "dist": {"dist_number": 2}, "fix": {"fix_number": 1}}
+    for op, payload in expected.items():
+        assert run(["--json", "oracle", op, str(path), "--max-oracle-n", "100000"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+
+
+def test_unexpected_exception_is_internal_error(fig1_file, capsys, monkeypatch):
+    from graphsym import cli
+
+    def broken(_g):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "check_amenable", broken)
+    assert run(["--json", "amenable", fig1_file]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "InternalError"
-    assert payload["message"].startswith("RecursionError")
+    assert payload["message"].startswith(
+        "ZeroDivisionError: integer division or modulo by zero (in broken, ")
 
 
 def test_internal_error_exit_code(fig1_file, capsys, monkeypatch):
@@ -228,10 +254,11 @@ def test_missing_argument_is_a_usage_error(capsys):
 
 
 def test_unknown_command_is_a_usage_error(capsys):
-    assert run(["--json", "nosuch"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == "UsageError"
-    assert "invalid choice: 'nosuch'" in payload["message"]
+    for command in ("nosuch", "bench"):
+        assert run(["--json", command]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "UsageError"
+        assert f"invalid choice: '{command}'" in payload["message"]
 
 
 def test_help_exits_0(capsys):

@@ -99,6 +99,16 @@ def test_dist_count_bf_examples():
     assert dist_count_bf(named("pn", 3), c=2) == 2
 
 
+def test_dist_count_bf_reports_a_remainder_as_a_bug(monkeypatch):
+    from graphsym import oracle
+    from graphsym.errors import InternalError
+
+    # a checker passing every labeling counts 3^2 = 9, not divisible by |Aut(K2)| = 2
+    monkeypatch.setattr(oracle, "_make_checker", lambda g, base: lambda coloring: True)
+    with pytest.raises(InternalError, match="not divisible by"):
+        dist_count_bf(named("kn", 2), c=3)
+
+
 def test_fix_number_bf_examples():
     assert fix_number_bf(named("kab", 3, 3)) == 4
     assert fix_number_bf(named("cn", 5)) == 2

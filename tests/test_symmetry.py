@@ -173,13 +173,13 @@ def test_not_amenable_raises():
 def test_unsupported_root_kind_is_loud():
     from graphsym import build_cell_graph, stable_partition
     from graphsym.cells import Component
-    from graphsym.errors import UnsupportedRootKind
+    from graphsym.errors import InternalError
 
     g = named("kab", 3, 3)  # single OTHER cell; never reaches here via check_amenable
     cg = build_cell_graph(g, stable_partition(g))
     comp = Component(cells=(0,), root=0, parent={}, children={0: ()},
                      multiplicity={}, het_cells=(0,))
-    with pytest.raises(UnsupportedRootKind):
+    with pytest.raises(InternalError, match="unsupported kind"):
         head_of_component(cg, comp)
 
 
