@@ -86,9 +86,6 @@ class CellGraph:
             return sizes[j] * self.d.get((j, i), 0)
         return int(self.graph.has_edge(cells[i][0], cells[j][0]))
 
-    def is_heterogeneous(self, i: int) -> bool:
-        return _heterogeneous(self.cell_kinds[i])
-
     def pair_class(self, i: int, j: int) -> PairClass:
         pc = self.pair_classes.get((i, j) if i < j else (j, i))  # two nonsingleton cells
         return pc or (_ISO_COMPLETE if i != j and self.degree_constant(i, j) else _ISO_EMPTY)
@@ -119,19 +116,23 @@ class Component:
 
     The root is a minimum-size cell, preferring the heterogeneous cell when
     it attains the minimum, with the lowest cell id breaking remaining ties.
-    parent, children and multiplicity come from a breadth-first walk from
-    the root and are empty when the component is not a tree; bad_edges are
-    the walk's tree edges along which cell sizes decrease or do not divide.
+    order is the breadth-first walk from the root (the root first, every
+    cell after its parent), and parent and multiplicity come from it; all
+    three are empty when the component is not a tree.  bad_edges are the
+    walk's tree edges along which cell sizes decrease or do not divide.
     """
 
     cells: tuple[int, ...]
     root: int
+    order: tuple[int, ...]
     parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
     multiplicity: dict[int, int]  # child cell id -> |child| / |parent|
     het_cells: tuple[int, ...] = ()
-    is_tree: bool = True
     bad_edges: tuple[tuple[str, int, int], ...] = ()  # (reason, parent, child)
+
+    @property
+    def is_tree(self) -> bool:
+        return bool(self.order)
 
     @property
     def heterogeneous(self) -> bool:
@@ -264,7 +265,7 @@ class Components(Sequence):
 
 def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
     # a cell without anisotropic pairs: a tree without edges, rooted at itself
-    return Component(cells=(cell,), root=cell, parent={}, children={cell: ()}, multiplicity={},
+    return Component(cells=(cell,), root=cell, order=(cell,), parent={}, multiplicity={},
                      het_cells=(cell,) if heterogeneous else ())
 
 
@@ -307,16 +308,15 @@ def anisotropic_components(cg: CellGraph) -> Components:
         root = next((c for c in het if sizes[c] == min_size), None)
         if root is None:
             root = next(c for c in comp if sizes[c] == min_size)
-        is_tree = degree_sum == 2 * (len(comp) - 1)
         parent: dict[int, int] = {}
-        children: dict[int, tuple[int, ...]] = {}
         multiplicity: dict[int, int] = {}
         bad_edges: list[tuple[str, int, int]] = []
-        order = [root] if is_tree else []
+        order = [root] if degree_sum == 2 * (len(comp) - 1) else []  # only a tree is walked
         for x in order:  # breadth-first; order grows as the walk goes
-            kids = tuple(y for y in adj[x] if y != parent.get(x))
-            children[x] = kids
-            for y in kids:
+            up = parent.get(x)
+            for y in adj[x]:
+                if y == up:
+                    continue
                 parent[y] = x
                 order.append(y)
                 if sizes[y] < sizes[x]:
@@ -326,8 +326,7 @@ def anisotropic_components(cg: CellGraph) -> Components:
                 else:
                     multiplicity[y] = sizes[y] // sizes[x]
         comps.append(Component(
-            cells=tuple(comp), root=root, parent=parent, children=children,
-            multiplicity=multiplicity, het_cells=het, is_tree=is_tree,
-            bad_edges=tuple(bad_edges),
+            cells=tuple(comp), root=root, order=tuple(order), parent=parent,
+            multiplicity=multiplicity, het_cells=het, bad_edges=tuple(bad_edges),
         ))
     return Components(cg, tuple(comps), _lone_component)

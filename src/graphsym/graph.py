@@ -85,21 +85,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return Graph(n=len(kept), m=m, adjacency=adjacency), old_to_new
 
 
-def union_graph(g: Graph, h: Graph) -> Graph:
+def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union of two graphs: g's vertices keep their ids, h's follow."""
     shift = g.n
     adjacency = g.adjacency + tuple(tuple(map(shift.__add__, row)) for row in h.adjacency)
     return Graph(n=g.n + h.n, m=g.m + h.m, adjacency=adjacency)
-
-
-def disjoint_union(g: Graph, h: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Disjoint union of two graphs.
-
-    Returns the union plus an origin map: for each new vertex, a pair
-    ``(side, old_index)`` with side 0 for ``g`` and 1 for ``h``.
-    """
-    origin = tuple((0, v) for v in range(g.n)) + tuple((1, v) for v in range(h.n))
-    return union_graph(g, h), origin
 
 
 def complement(g: Graph) -> Graph:

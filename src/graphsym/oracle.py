@@ -100,9 +100,12 @@ def _maps(g: Graph, h: Graph, key_g, key_h, order):
     Vertices of g are mapped in ``order``; each is tried against the unused
     vertices of h with its key, in ascending id, and a candidate is kept only
     if it is adjacent to exactly the images of g's already mapped neighbours.
-    One candidate iterator per mapped vertex sits on an explicit stack, so
-    the depth is not bounded by recursion.  Yields ``image`` tuples, where
-    ``image[v]`` is the vertex of h that v maps to.
+    Where a mapped neighbour has fewer neighbours than h has vertices with
+    the key, the candidates are its image's neighbours instead, which hold
+    every one that can be kept; both lists ascend, so the yield order is the
+    same.  One candidate iterator per mapped vertex sits on an explicit
+    stack, so the depth is not bounded by recursion.  Yields ``image``
+    tuples, where ``image[v]`` is the vertex of h that v maps to.
     """
     n = g.n
     adj = _adj_sets(g)
@@ -113,6 +116,16 @@ def _maps(g: Graph, h: Graph, key_g, key_h, order):
     if n == 0:
         yield ()
         return
+    # anchor[k]: that neighbour of order[k], the one of least degree, or -1;
+    # every caller's keys carry the degree, so its image has the same degree
+    anchor = [-1] * n
+    mapped: set[int] = set()
+    for k, v in enumerate(order):
+        best = len(candidates.get(key_g[v], ()))
+        for u in g.adjacency[v]:
+            if u in mapped and len(g.adjacency[u]) < best:
+                anchor[k], best = u, len(g.adjacency[u])
+        mapped.add(v)
     image = [-1] * n
     used_images: set[int] = set()
     stack = [iter(candidates.get(key_g[order[0]], ()))]
@@ -121,9 +134,9 @@ def _maps(g: Graph, h: Graph, key_g, key_h, order):
         if image[v] >= 0:  # step past the image tried last
             used_images.discard(image[v])
             image[v] = -1
-        av = adj[v]
+        av, kv = adj[v], key_g[v]
         for w in stack[-1]:
-            if w in used_images:
+            if w in used_images or key_h[w] != kv:
                 continue
             aw = adj_h[w]
             cnt = 0
@@ -144,7 +157,9 @@ def _maps(g: Graph, h: Graph, key_g, key_h, order):
         if len(stack) == n:
             yield tuple(image)
         else:
-            stack.append(iter(candidates.get(key_g[order[len(stack)]], ())))
+            u = anchor[len(stack)]
+            stack.append(iter(h.adjacency[image[u]] if u >= 0
+                              else candidates.get(key_g[order[len(stack)]], ())))
 
 
 def _automorphisms_of(g: Graph, colors):
@@ -422,12 +437,15 @@ def leg_dist_count_exact(sizes: Sequence[int], comp: Component, c: int) -> int:
     The same recursion as the saturating count of the symmetry module, with
     child cells as the classes and size ratios as multiplicities, evaluated
     here exactly and without the fast path's code, so the two can be
-    compared: multiplicities are recomputed from ``sizes`` rather than read
-    from ``comp.multiplicity``.
+    compared: children lists are built from ``comp.parent`` and
+    multiplicities recomputed from ``sizes``, rather than read from the
+    component's walk order and ``comp.multiplicity``.
     """
     if c < 1:
         raise ValueError(f"color count must be positive, got {c}")
-    children = comp.children
+    children: dict[int, list[int]] = {x: [] for x in comp.cells}
+    for y, x in comp.parent.items():
+        children[x].append(y)
     val: dict[int, int] = {}
     for x in _postorder_tree(children, comp.root):
         acc = c

@@ -11,7 +11,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .graph import Graph, union_graph
+from .graph import Graph, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class Partition:
     @property
     def num_cells(self) -> int:
         return len(self.cells)
-
-    def cell_size(self, c: int) -> int:
-        return len(self.cells[c])
 
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Partition":
@@ -262,7 +259,7 @@ def is_equitable(g: Graph, p: Partition) -> bool:
 def cr_partition(g: Graph, h: Graph) -> tuple[CrVerdict, Partition]:
     """The CR verdict on g and h plus the stable partition of their disjoint
     union, in which g's vertices keep their ids and h's follow them."""
-    p = stable_partition(union_graph(g, h))
+    p = stable_partition(disjoint_union(g, h))
     for i, cell in enumerate(p.cells):
         if 2 * bisect_left(cell, g.n) != len(cell):  # cells list their members in order
             return CrVerdict(outcome=CrOutcome.DISTINGUISHED, witness_cell=i), p

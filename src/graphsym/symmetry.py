@@ -2,12 +2,12 @@
 
 Per anisotropic component the computation never materializes the modified
 component graph: the head invariants come from the root cell's kind and
-size, and the leg values come from postorder recursions over the tree that
-recognition stored on the Component, with child cells as the isomorphism
-classes and multiplicities equal to the size ratios recorded there.  Counts
-are evaluated in saturating arithmetic capped just above the decision
-threshold so the linearithmic budget holds; the big-integer recursion that
-checks them lives in the oracle module.
+size, and the leg values come from recursions that fold over the walk order
+recognition stored on the Component, children before parents, with child
+cells as the isomorphism classes and multiplicities equal to the size
+ratios recorded there.  Counts are evaluated in saturating arithmetic
+capped just above the decision threshold so the linearithmic budget holds;
+the big-integer recursion that checks them lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
 from .cells import CellGraph, CellKind, Component, Components
@@ -51,20 +51,6 @@ class HeadKind:
 
     def to_json(self) -> dict:
         return {"shape": self.shape.value, "size": self.size}
-
-
-def _postorder(children: Mapping[int, Sequence[int]], root: int) -> list[int]:
-    out: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        x, expanded = stack.pop()
-        if expanded:
-            out.append(x)
-            continue
-        stack.append((x, True))
-        for y in reversed(children[x]):
-            stack.append((y, False))
-    return out
 
 
 def min_c_binom(r: int) -> int:
@@ -129,19 +115,18 @@ def leg_dist_count(sizes: Sequence[int], comp: Component, c: int, cap: int) -> i
     cap > d* + the component's vertex count, the predicate (true count >= d*)
     is decided exactly.
     """
-    total = sum(sizes[x] for x in comp.cells)
+    total = sum(sizes[x] for x in comp.order)
     if cap <= total:
         raise BadCap(cap, total)
     if c < 1:
         raise ValueError(f"color count must be positive, got {c}")
-    children, mult = comp.children, comp.multiplicity
-    val: dict[int, int] = {}
-    for x in _postorder(children, comp.root):
-        acc = min(c, cap)
-        for y in children[x]:
-            acc = min(acc * _binom_capped(val[y], mult[y], cap), cap)
-        val[x] = acc
-    return val[comp.root]
+    root, parent, mult = comp.root, comp.parent, comp.multiplicity
+    val = dict.fromkeys(comp.order, min(c, cap))
+    for y in reversed(comp.order):  # children first, so val[y] is final here
+        if y != root:
+            x = parent[y]
+            val[x] = min(val[x] * _binom_capped(val[y], mult[y], cap), cap)
+    return val[root]
 
 
 def leg_fix(comp: Component) -> int:
@@ -150,15 +135,13 @@ def leg_fix(comp: Component) -> int:
     Leaves cost nothing; a class of m rigid children costs m - 1, and a
     class of m non-rigid children costs m times the child cost.
     """
-    children, mult = comp.children, comp.multiplicity
-    val: dict[int, int] = {}
-    for x in _postorder(children, comp.root):
-        total = 0
-        for y in children[x]:
+    root, parent, mult = comp.root, comp.parent, comp.multiplicity
+    val = dict.fromkeys(comp.order, 0)
+    for y in reversed(comp.order):  # children first, so val[y] is final here
+        if y != root:
             m = mult[y]
-            total += (m - 1) if val[y] == 0 else m * val[y]
-        val[x] = total
-    return val[comp.root]
+            val[parent[y]] += (m - 1) if val[y] == 0 else m * val[y]
+    return val[root]
 
 
 @dataclass(frozen=True)
@@ -257,12 +240,13 @@ def _shape_key(cg: CellGraph, comp: Component, ids: dict[tuple, int]) -> int:
     which is the key.  Keys are ints, flat however deep the tree, and
     hashing one runs no Python code, as hashing a CellKind would.
     """
-    sizes, children = cg.cell_sizes, comp.children
-    label: dict[int, int] = {}
-    for x in _postorder(children, comp.root):
-        shape = (sizes[x], tuple(sorted([label[y] for y in children[x]])))
-        label[x] = ids.setdefault(shape, len(ids))
-    return ids.setdefault((cg.cell_kinds[comp.root].value, label[comp.root]), len(ids))
+    sizes, root, parent = cg.cell_sizes, comp.root, comp.parent
+    kids: dict[int, list[int]] = {x: [] for x in comp.order}  # child labels
+    for x in reversed(comp.order):  # the root comes last
+        label = ids.setdefault((sizes[x], tuple(sorted(kids[x]))), len(ids))
+        if x != root:
+            kids[parent[x]].append(label)
+    return ids.setdefault((cg.cell_kinds[root].value, label), len(ids))
 
 
 def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryReport:

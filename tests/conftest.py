@@ -57,25 +57,23 @@ def set_partitions(items: list):
 def cell_tree(nest: tuple) -> tuple[tuple[int, ...], Component]:
     """Cell sizes and a rooted component from a ``(size, [child, ...])`` nest.
 
-    Cell ids are assigned breadth-first from the root, 0; sizes along every
-    edge must divide, as recognition guarantees for an amenable graph.
+    Cell ids are assigned breadth-first from the root, 0, so the walk order
+    is the ids in turn; sizes along every edge must divide, as recognition
+    guarantees for an amenable graph.
     """
     nodes = [nest]
     parent: dict[int, int] = {}
-    children: dict[int, tuple[int, ...]] = {}
     multiplicity: dict[int, int] = {}
     for x, (size, kids) in enumerate(nodes):  # nodes grows as the walk goes
-        ids = []
         for kid in kids:
             y = len(nodes)
             nodes.append(kid)
             mult, rem = divmod(kid[0], size)
             assert mult >= 1 and rem == 0, f"sizes {size} -> {kid[0]} do not divide"
             parent[y], multiplicity[y] = x, mult
-            ids.append(y)
-        children[x] = tuple(ids)
-    comp = Component(cells=tuple(range(len(nodes))), root=0, parent=parent,
-                     children=children, multiplicity=multiplicity)
+    cells = tuple(range(len(nodes)))
+    comp = Component(cells=cells, root=0, order=cells, parent=parent,
+                     multiplicity=multiplicity)
     return tuple(size for size, _kids in nodes), comp
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -107,6 +107,21 @@ def _nx(g):
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
     return G
+
+
+def test_is_distinguishing_matches_group_scan(atlas):
+    """oracle.is_distinguishing, a search under colour keys, against the
+    scan over the enumerated group, for every 2-colouring of every atlas
+    graph on up to six vertices."""
+    checks = 0
+    for g, _ok, _verdict in atlas[0]:
+        if g.n > 6:
+            continue
+        scan = oracle._make_checker(g, [0] * g.n)
+        for coloring in product(range(2), repeat=g.n):
+            assert oracle.is_distinguishing(g, coloring) == scan(coloring), (g, coloring)
+            checks += 1
+    assert checks == 11291
 
 
 def test_atlas_oracle_search_matches_vf2(atlas):

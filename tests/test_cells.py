@@ -146,7 +146,7 @@ def test_heterogeneous_cell_off_minimum_reported():
     g = from_edge_list(14, edges)
     cg = cell_graph_of(g)
     (comp,) = anisotropic_components(cg)
-    assert cg.cell_sizes[comp.root] == 2 and not cg.is_heterogeneous(comp.root)
+    assert cg.cell_sizes[comp.root] == 2 and cg.cell_kinds[comp.root] is CellKind.EMPTY
     het = comp.het_cells[0]
     assert cg.cell_kinds[het] is CellKind.MATCHING and cg.cell_sizes[het] == 4
     assert comp.is_tree and comp.bad_edges == ()
@@ -185,6 +185,15 @@ def test_double_counting_identity(g):
 def test_multiplicities_positive_and_consistent(g):
     cg = cell_graph_of(g)
     for comp in anisotropic_components(cg):
+        cells = set(comp.cells)
+        aniso_pairs = sum(1 for (i, _j), pc in cg.pair_classes.items()
+                          if pc.center_cell is not None and i in cells)
+        assert (comp.order == ()) == (aniso_pairs != len(comp.cells) - 1)
+        if comp.order:  # the walk: the root first, every cell after its parent
+            assert comp.order[0] == comp.root and sorted(comp.order) == list(comp.cells)
+            assert set(comp.parent) == set(comp.order[1:])
+            position = {x: k for k, x in enumerate(comp.order)}
+            assert all(position[p] < position[c] for c, p in comp.parent.items())
         assert set(comp.multiplicity) | {c for _, _, c in comp.bad_edges} == set(comp.parent)
         for child, m in comp.multiplicity.items():
             parent = comp.parent[child]

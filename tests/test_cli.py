@@ -91,7 +91,7 @@ def test_iso_heuristic_equivalent(tmp_path, capsys):
     c6.write_text(format_edge_list(named("cn", 6)))
     from graphsym import disjoint_union
 
-    two_c3, _ = disjoint_union(named("cn", 3), named("cn", 3))
+    two_c3 = disjoint_union(named("cn", 3), named("cn", 3))
     other = tmp_path / "2c3.txt"
     other.write_text(format_edge_list(two_c3))
     assert run(["iso", str(c6), str(other)]) == 0

@@ -68,8 +68,8 @@ def _failing_unions():
     failure reported first: each failing G(n, m) draw beside its complement,
     and beside every other failing draw."""
     failing = [g for g in _gnm() if not check_amenable(g).amenable]
-    return [disjoint_union(g, complement(g))[0] for g in failing] + [
-        disjoint_union(a, b)[0] for a in failing for b in failing if a is not b]
+    return [disjoint_union(g, complement(g)) for g in failing] + [
+        disjoint_union(a, b) for a in failing for b in failing if a is not b]
 
 
 PINNED = {

@@ -80,7 +80,7 @@ def test_cr_iso_identical():
 
 def test_cr_blind_spot_c6_vs_2c3():
     c3 = named("cn", 3)
-    two_c3, _ = disjoint_union(c3, c3)
+    two_c3 = disjoint_union(c3, c3)
     verdict = cr_iso_test(named("cn", 6), two_c3)
     assert verdict.outcome is CrOutcome.CR_EQUIVALENT
 

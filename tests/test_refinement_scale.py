@@ -28,7 +28,7 @@ def gnm(rng: random.Random, n: int, m: int) -> Graph:
 def with_relabelled_copy(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return disjoint_union(g, relabel(g, perm))[0]
+    return disjoint_union(g, relabel(g, perm))
 
 
 # (name, graph builder, number of initial colours: 1 is the unit partition).

@@ -121,7 +121,7 @@ def test_check_amenable_classifies_only_nonsingleton_pairs(monkeypatch):
 def _union(*parts):
     g = from_edge_list(0, [])
     for part in parts:
-        g, _origin = disjoint_union(g, part)
+        g = disjoint_union(g, part)
     return g
 
 

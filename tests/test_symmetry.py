@@ -177,7 +177,7 @@ def test_unsupported_root_kind_is_loud():
 
     g = named("kab", 3, 3)  # single OTHER cell; never reaches here via check_amenable
     cg = build_cell_graph(g, stable_partition(g))
-    comp = Component(cells=(0,), root=0, parent={}, children={0: ()},
+    comp = Component(cells=(0,), root=0, order=(0,), parent={},
                      multiplicity={}, het_cells=(0,))
     with pytest.raises(InternalError, match="unsupported kind"):
         head_of_component(cg, comp)
@@ -186,15 +186,15 @@ def test_unsupported_root_kind_is_loud():
 def test_component_report_rejects_a_bad_edge(figure1):
     verdict = check_amenable(figure1)
     comp = verdict.components[1]  # cells 1 and 3, a star pair
-    (child,) = comp.children[comp.root]
+    (child,) = comp.order[1:]
     bad = Component(
-        cells=comp.cells, root=comp.root, parent=comp.parent, children=comp.children,
+        cells=comp.cells, root=comp.root, order=comp.order, parent=comp.parent,
         multiplicity={}, bad_edges=(("divisibility", comp.root, child),),
     )
     with pytest.raises(InternalError):
         component_report(verdict.cell_graph, bad)
-    cyclic = Component(cells=comp.cells, root=comp.root, parent={}, children={},
-                       multiplicity={}, is_tree=False)
+    cyclic = Component(cells=comp.cells, root=comp.root, order=(), parent={},
+                       multiplicity={})
     with pytest.raises(InternalError):
         component_report(verdict.cell_graph, cyclic)
 
@@ -264,8 +264,10 @@ def test_analyze_reports_each_shape_once(monkeypatch):
     cg = verdict.cell_graph
 
     def shape(comp):
+        children = {x: [y for y, p in comp.parent.items() if p == x] for x in comp.cells}
+
         def canon(x):
-            return (cg.cell_sizes[x], tuple(sorted(canon(y) for y in comp.children[x])))
+            return (cg.cell_sizes[x], tuple(sorted(canon(y) for y in children[x])))
 
         return cg.cell_kinds[comp.root], canon(comp.root)
 
@@ -285,14 +287,65 @@ def test_analyze_reports_each_shape_once(monkeypatch):
     assert list(report.components) == [component_report(cg, c) for c in verdict.components]
 
 
+def _other_walks(comp) -> list[tuple[int, ...]]:
+    """Two more parent-first orders of a component's tree: breadth-first
+    with siblings reversed, and depth-first preorder."""
+    children: dict[int, list[int]] = {x: [] for x in comp.cells}
+    for y in sorted(comp.parent):
+        children[comp.parent[y]].append(y)
+    backwards = [comp.root]
+    for x in backwards:  # grows as the walk goes
+        backwards.extend(reversed(children[x]))
+    preorder, stack = [], [comp.root]
+    while stack:
+        x = stack.pop()
+        preorder.append(x)
+        stack.extend(reversed(children[x]))
+    return [tuple(backwards), tuple(preorder)]
+
+
+def test_leg_recursions_ignore_the_walk_order():
+    # (nest, leg_fix worked by hand from the class recursion, distinct walks)
+    cases = [
+        (LEG_REGRESSION_NEST, 10, 3),
+        ((1, [(2, [(4, []), (6, [])]), (3, [(3, [])])]), 8, 3),
+        ((2, [(2, [(4, [(4, [])])])]), 1, 1),  # a path has one walk
+    ]
+    ids: dict = {}
+    keys = []
+    for nest, fix, walks in cases:
+        sizes, comp = cell_tree(nest)
+        n = sum(sizes)
+        cg = CellGraph(
+            graph=from_edge_list(n, []), partition=Partition.unit(n), cell_sizes=sizes,
+            nonsingleton=tuple(range(len(sizes))), d={},
+            cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (len(sizes) - 1),
+            pair_classes={},
+        )
+        cap = 2 * n + 1
+        key = symmetry._shape_key(cg, comp, ids)
+        counts = [leg_dist_count(sizes, comp, c, cap) for c in range(1, 5)]
+        assert counts == [min(oracle.leg_dist_count_exact(sizes, comp, c), cap)
+                          for c in range(1, 5)]
+        assert leg_fix(comp) == fix
+        assert len({comp.order, *_other_walks(comp)}) == walks
+        for order in _other_walks(comp):
+            other = Component(cells=comp.cells, root=comp.root, order=order,
+                              parent=comp.parent, multiplicity=comp.multiplicity)
+            assert symmetry._shape_key(cg, other, ids) == key
+            assert [leg_dist_count(sizes, other, c, cap) for c in range(1, 5)] == counts
+            assert leg_fix(other) == fix
+        keys.append(key)
+    assert len(set(keys)) == len(cases)
+
+
 def test_shape_key_of_a_deep_path_is_flat():
     # A path's stable partition is one component of n/2 cells; build one of
     # 200k cells directly, without refinement.
     n = 200_000
     comp = Component(
-        cells=tuple(range(n)), root=0,
+        cells=tuple(range(n)), root=0, order=tuple(range(n)),
         parent={x + 1: x for x in range(n - 1)},
-        children={x: (x + 1,) if x + 1 < n else () for x in range(n)},
         multiplicity={x: 1 for x in range(1, n)},
     )
     cg = CellGraph(
