@@ -99,10 +99,7 @@ def _symmetry_command(args, field: str) -> int:
     from .symmetry import analyze
 
     g = _load_graph(args.graph, args.format)
-    try:
-        report = analyze(g)
-    except NotAmenable as exc:
-        return _fail(args, exc, EXIT_REFUSED)
+    report = analyze(g)
     if args.components:
         _emit(args, report.to_json())
     else:
@@ -134,21 +131,18 @@ def _cmd_oracle(args) -> int:
     limit = args.max_oracle_n
     if limit is None:
         limit = oracle.SEARCH_LIMIT_DEFAULT
-    try:
-        if args.op == "aut":
-            group = oracle.automorphisms(g, limit_n=limit)
-            _emit(args, {"order": group.order}, str(group.order))
-        elif args.op == "dist":
-            value = oracle.dist_number_bf(g, limit=limit)
-            _emit(args, {"dist_number": value}, str(value))
-        elif args.op == "fix":
-            value = oracle.fix_number_bf(g, limit=limit)
-            _emit(args, {"fix_number": value}, str(value))
-        else:  # count
-            value = oracle.dist_count_bf(g, c=args.colors, limit=limit)
-            _emit(args, {"dist_count": value, "colors": args.colors}, str(value))
-    except TooLarge as exc:
-        return _fail(args, exc, EXIT_REFUSED)
+    if args.op == "aut":
+        group = oracle.automorphisms(g, limit_n=limit)
+        _emit(args, {"order": group.order}, str(group.order))
+    elif args.op == "dist":
+        value = oracle.dist_number_bf(g, limit=limit)
+        _emit(args, {"dist_number": value}, str(value))
+    elif args.op == "fix":
+        value = oracle.fix_number_bf(g, limit=limit)
+        _emit(args, {"fix_number": value}, str(value))
+    else:  # count
+        value = oracle.dist_count_bf(g, c=args.colors, limit=limit)
+        _emit(args, {"dist_count": value, "colors": args.colors}, str(value))
     return EXIT_OK
 
 
@@ -162,16 +156,12 @@ def _write_graph(args, g: Graph) -> None:
 
 
 def _load_spec(text: str):
-    """Decode a JSON component spec; any malformed input raises BadSpec."""
-    from .generators import GraphSpec
-
+    """Decode a JSON spec; generate checks what it holds."""
     try:
-        return GraphSpec.from_json(json.loads(text))
-    except BadSpec:
-        raise
+        return json.loads(text)
     except RecursionError as exc:
         raise BadSpec("nested too deeply") from exc
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise BadSpec(f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -1,222 +1,156 @@
 """Synthesis of amenable graphs from component specs, plus named instances.
 
-A spec realizes each component in normalized form: the requested head graph
-on the root cell, empty non-root cells, and star joins along tree edges
-with centers toward the root.  Cross-component joins are complete or absent.
-Generation makes no stability promise; pair it with validate_spec, which
-simply re-runs refinement.
+A spec is a JSON document, the same in Python as in a ``gen spec`` file:
+the dicts and lists ``json.loads`` returns.  It realizes each component in
+normalized form: the requested head graph on the root cell, empty non-root
+cells, and star joins along tree edges with centers toward the root.
+Cross-component joins are complete or absent.  Generation makes no
+stability promise; pair it with validate_spec, which simply re-runs
+refinement.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BadParams, BadSpec, BudgetExhausted
 from .graph import Graph, from_edge_list
 from .refinement import Partition, stable_partition
 
 HEAD_KINDS = ("empty", "complete", "matching", "co_matching", "five_cycle")
+_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer"}
 
 
-@dataclass(frozen=True)
-class CellNode:
-    """One cell of a component tree.
+def _typed(value, kind: type, what: str):
+    """value, if it has the JSON type kind (a bool is no integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise BadSpec(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
-    ``fill`` is the induced structure inside a non-root cell: empty or
-    complete, the two homogeneous options.  Refinement cannot tell two
+
+def _walk(tree) -> list[tuple[dict, int]]:
+    """The cells of one component tree in preorder, each with its parent's
+    index in the list (-1 for the root).
+
+    A cell is ``{"size": int, "children": [cell, ...], "fill": str}`` with
+    ``children`` and ``fill`` optional.  ``fill`` is the induced structure
+    inside a non-root cell, empty or complete: refinement cannot tell two
     sibling leaf cells apart by the star edges alone, so a complete fill is
-    how a spec keeps them separate; the root's structure comes from the
-    component's head kind and its fill is ignored.
+    how a spec keeps them separate.  Raises BadSpec at the first cell that
+    breaks a rule.
     """
-
-    size: int
-    children: tuple["CellNode", ...] = ()
-    fill: str = "empty"
-
-    def total_size(self) -> int:
-        return self.size + sum(c.total_size() for c in self.children)
-
-    def num_cells(self) -> int:
-        return 1 + sum(c.num_cells() for c in self.children)
-
-    def to_json(self) -> dict:
-        out: dict = {"size": self.size, "children": [c.to_json() for c in self.children]}
-        if self.fill != "empty":
-            out["fill"] = self.fill
-        return out
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CellNode":
-        return cls(
-            size=int(d["size"]),
-            children=tuple(cls.from_json(c) for c in d.get("children", [])),
-            fill=d.get("fill", "empty"),
-        )
-
-
-@dataclass(frozen=True)
-class ComponentSpec:
-    head: str
-    tree: CellNode
-
-    def validate(self) -> None:
-        if self.head not in HEAD_KINDS:
-            raise BadSpec(f"unknown head kind {self.head!r}")
-        size = self.tree.size
+    out: list[tuple[dict, int]] = []
+    stack = [(tree, -1)]
+    while stack:
+        node, parent = stack.pop()
+        node = _typed(node, dict, "a cell")
+        size = _typed(node.get("size"), int, "a cell size")
         if size < 1:
-            raise BadSpec(f"root size {size} < 1")
-        if self.head == "five_cycle" and size != 5:
-            raise BadSpec(f"five-cycle root must have size 5, got {size}")
-        if self.head in ("matching", "co_matching") and (size < 4 or size % 2):
-            raise BadSpec(f"{self.head} root needs even size >= 4, got {size}")
-        _validate_tree(self.tree)
-
-    def shape_key(self) -> tuple:
-        """Canonical shape identity: head kind plus the size- and fill-labeled tree."""
-        def canon(node: CellNode) -> tuple:
-            return (node.size, node.fill, tuple(sorted(canon(c) for c in node.children)))
-
-        return (self.head, canon(self.tree))
-
-
-def _validate_tree(node: CellNode) -> None:
-    if node.fill not in ("empty", "complete"):
-        raise BadSpec(f"unknown cell fill {node.fill!r}")
-    for child in node.children:
-        if child.size < node.size:
-            raise BadSpec(f"child size {child.size} below parent size {node.size}")
-        if child.size % node.size:
-            raise BadSpec(f"parent size {node.size} does not divide child size {child.size}")
-        if child.size < 1:
-            raise BadSpec("cell sizes must be positive")
-        _validate_tree(child)
-
-
-@dataclass(frozen=True)
-class Wiring:
-    """A complete join between one cell of each of two components.
-
-    Cells are addressed by preorder index within their component; every
-    unwired cross-component pair stays empty.
-    """
-
-    comp_a: int
-    cell_a: int
-    comp_b: int
-    cell_b: int
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    components: tuple[ComponentSpec, ...]
-    wiring: tuple[Wiring, ...] = ()
-
-    def validate(self) -> None:
-        if not self.components:
-            raise BadSpec("no components")
-        for comp in self.components:
-            comp.validate()
-        counts = [comp.tree.num_cells() for comp in self.components]
-        for w in self.wiring:
-            for comp, cell in ((w.comp_a, w.cell_a), (w.comp_b, w.cell_b)):
-                if not 0 <= comp < len(self.components):
-                    raise BadSpec(f"wiring references component {comp}")
-                if not 0 <= cell < counts[comp]:
-                    raise BadSpec(f"wiring references cell {cell} of component {comp}")
-            if w.comp_a == w.comp_b:
-                raise BadSpec("wiring must join different components")
-
-    def total_size(self) -> int:
-        return sum(c.tree.total_size() for c in self.components)
-
-    def to_json(self) -> dict:
-        return {
-            "components": [
-                {"head": c.head, "root_size": c.tree.size, "tree": c.tree.to_json()}
-                for c in self.components
-            ],
-            "wiring": [
-                {"components": [w.comp_a, w.comp_b], "cells": [w.cell_a, w.cell_b]}
-                for w in self.wiring
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "GraphSpec":
-        comps = []
-        for c in d.get("components", []):
-            tree = CellNode.from_json(c["tree"])
-            if "root_size" in c and int(c["root_size"]) != tree.size:
-                raise BadSpec(
-                    f"root_size {c['root_size']} disagrees with tree size {tree.size}"
-                )
-            comps.append(ComponentSpec(head=c["head"], tree=tree))
-        wiring = tuple(
-            Wiring(comp_a=w["components"][0], cell_a=w["cells"][0],
-                   comp_b=w["components"][1], cell_b=w["cells"][1])
-            for w in d.get("wiring", [])
-        )
-        return cls(components=tuple(comps), wiring=wiring)
-
-
-def _preorder(node: CellNode) -> list[CellNode]:
-    out = [node]
-    for child in node.children:
-        out.extend(_preorder(child))
+            raise BadSpec(f"cell size {size} < 1")
+        # a positive size below its parent's is no multiple of it
+        if parent >= 0 and size % out[parent][0]["size"]:
+            raise BadSpec(f"cell size {size} is no multiple of its parent's "
+                          f"{out[parent][0]['size']}")
+        if node.get("fill", "empty") not in ("empty", "complete"):
+            raise BadSpec("a cell fill must be empty or complete")
+        out.append((node, parent))
+        children = _typed(node.get("children", []), list, "children")
+        stack.extend((child, len(out) - 1) for child in reversed(children))
     return out
 
 
-def generate(spec: GraphSpec, seed: int = 0) -> tuple[Graph, Partition]:
+def _read(spec) -> tuple[list, list]:
+    """A spec's components, each ``(head, walk)``, and its joins, each
+    ``((component, cell), (component, cell))``.
+
+    The spec is ``{"components": [...], "wiring": [...]}`` with ``wiring``
+    optional.  A component is ``{"head": kind, "root_size": int, "tree":
+    cell}`` with ``root_size`` optional.  A join is ``{"components": [a,
+    b], "cells": [i, j]}``: a complete join of cell i, by preorder index,
+    of component a with cell j of component b, where a and b differ; every
+    unwired cross-component pair stays empty.  Raises BadSpec on any rule
+    that generation relies on.
+    """
+    spec = _typed(spec, dict, "a spec")
+    comps = []
+    for comp in _typed(spec.get("components"), list, "components"):
+        comp = _typed(comp, dict, "a component")
+        head = comp.get("head")
+        if head not in HEAD_KINDS:
+            raise BadSpec(f"a head must be one of {', '.join(HEAD_KINDS)}")
+        walk = _walk(comp.get("tree"))
+        size = walk[0][0]["size"]
+        if _typed(comp.get("root_size", size), int, "root_size") != size:
+            raise BadSpec(f"root_size {comp['root_size']} disagrees with tree size {size}")
+        if head == "five_cycle" and size != 5:
+            raise BadSpec(f"five-cycle root must have size 5, got {size}")
+        if head in ("matching", "co_matching") and (size < 4 or size % 2):
+            raise BadSpec(f"{head} root needs even size >= 4, got {size}")
+        comps.append((head, walk))
+    if not comps:
+        raise BadSpec("no components")
+    joins = []
+    for join in _typed(spec.get("wiring", []), list, "wiring"):
+        join = _typed(join, dict, "a join")
+        pairs = [_typed(join.get(key), list, f"join {key}") for key in ("components", "cells")]
+        if len(pairs[0]) != 2 or len(pairs[1]) != 2:
+            raise BadSpec("a join names two components and two cells")
+        ends = tuple(zip(*pairs))
+        for comp, cell in ends:
+            if not 0 <= _typed(comp, int, "a join's component") < len(comps):
+                raise BadSpec(f"wiring references component {comp}")
+            if not 0 <= _typed(cell, int, "a join's cell") < len(comps[comp][1]):
+                raise BadSpec(f"wiring references cell {cell} of component {comp}")
+        if ends[0][0] == ends[1][0]:
+            raise BadSpec("wiring must join different components")
+        joins.append(ends)
+    return comps, joins
+
+
+def generate(spec: dict, seed: int = 0) -> tuple[Graph, Partition]:
     """Realize a spec into a graph plus its intended cell partition.
 
-    Deterministic per seed.  The intended partition is equitable by
-    construction but not necessarily stable; callers that need stability
-    check with validate_spec.
+    The spec is read, never changed; see _read for its form.  Deterministic
+    per seed.  The intended partition is equitable by construction but not
+    necessarily stable; callers that need stability check with
+    validate_spec.
     """
-    spec.validate()
+    comps, joins = _read(spec)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     cells: list[list[int]] = []
-    cell_index: dict[tuple[int, int], int] = {}  # (component, preorder idx) -> cell id
-    next_vertex = 0
-
-    for ci, comp in enumerate(spec.components):
-        nodes = _preorder(comp.tree)
-        ranges: dict[int, list[int]] = {}
-        for pi, node in enumerate(nodes):
-            verts = list(range(next_vertex, next_vertex + node.size))
-            next_vertex += node.size
-            ranges[id(node)] = verts
-            cell_index[(ci, pi)] = len(cells)
+    first: list[int] = []  # per component, the index in cells of its root
+    n = 0
+    for head, walk in comps:
+        first.append(len(cells))
+        children: list[list[int]] = [[] for _ in walk]
+        for i, (node, parent) in enumerate(walk):
+            verts = list(range(n, n + node["size"]))
+            n += node["size"]
             cells.append(verts)
-            if pi > 0 and node.fill == "complete":
-                edges.extend(
-                    (verts[i], verts[j])
-                    for i in range(node.size) for j in range(i + 1, node.size)
-                )
-        root_verts = ranges[id(comp.tree)]
-        edges.extend(_head_edges(comp.head, root_verts))
-        stack = [comp.tree]
+            if parent >= 0:
+                children[parent].append(i)
+                if node.get("fill") == "complete":
+                    edges.extend(_head_edges("complete", verts))
+        ranges = cells[first[-1]:]
+        edges.extend(_head_edges(head, ranges[0]))
+        stack = [0]
         while stack:
-            node = stack.pop()
-            parents = ranges[id(node)]
-            for child in node.children:
-                kids = ranges[id(child)][:]
+            x = stack.pop()
+            parents = ranges[x]
+            for y in children[x]:
+                kids = ranges[y][:]
                 rng.shuffle(kids)
-                m = child.size // node.size
-                for i, parent in enumerate(parents):
-                    for kid in kids[i * m:(i + 1) * m]:
-                        edges.append((parent, kid))
-                stack.append(child)
+                m = len(kids) // len(parents)
+                for k, center in enumerate(parents):
+                    for kid in kids[k * m:(k + 1) * m]:
+                        edges.append((center, kid))
+                stack.append(y)
 
-    for w in spec.wiring:
-        side_a = cells[cell_index[(w.comp_a, w.cell_a)]]
-        side_b = cells[cell_index[(w.comp_b, w.cell_b)]]
-        edges.extend((u, v) for u in side_a for v in side_b)
+    for (ca, xa), (cb, xb) in joins:
+        edges.extend((u, v) for u in cells[first[ca] + xa] for v in cells[first[cb] + xb])
 
-    g = from_edge_list(next_vertex, edges)
-    return g, Partition.from_cells(cells, next_vertex)
+    return from_edge_list(n, edges), Partition.from_cells(cells, n)
 
 
 def _head_edges(head: str, verts: list[int]) -> list[tuple[int, int]]:
@@ -327,12 +261,13 @@ def random_amenable(n_target: int, seed: int = 0) -> tuple[Graph, Partition]:
     raise BudgetExhausted(_ATTEMPTS)
 
 
-def _sample_spec(rng: random.Random, n_target: int, cap: int) -> GraphSpec | None:
+def _sample_spec(rng: random.Random, n_target: int, cap: int) -> dict | None:
     if n_target >= 256:  # past what varied small shapes can fill
         return _sample_big_spec(rng, n_target)
     heads = list(_HEAD_WEIGHTS)
     weights = list(_HEAD_WEIGHTS.values())
-    comps: list[ComponentSpec] = []
+    comps: list[dict] = []
+    counts: list[int] = []  # cells per component
     keys: set[tuple] = set()
     total = 0
     budget = rng.randint(max(1, n_target // 2), n_target)
@@ -353,34 +288,34 @@ def _sample_spec(rng: random.Random, n_target: int, cap: int) -> GraphSpec | Non
         tree = _sample_tree(rng, root_size, remaining, depth=0)
         if tree is None:
             continue
-        candidate = ComponentSpec(head=head, tree=tree)
-        if candidate.shape_key() in keys:
+        walk = _walk(tree)
+        key = _shape_key(head, walk)
+        if key in keys:
             continue  # identical components merge under refinement
-        keys.add(candidate.shape_key())
-        comps.append(candidate)
-        total += tree.total_size()
+        keys.add(key)
+        comps.append({"head": head, "tree": tree})
+        counts.append(len(walk))
+        total += sum(node["size"] for node, _ in walk)
         if total >= budget:
             break
     if not comps or total > cap:
         return None
-    wiring: list[Wiring] = []
+    wiring: list[dict] = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             if rng.random() < _WIRE_PROB:
-                wiring.append(Wiring(
-                    comp_a=i, cell_a=rng.randrange(comps[i].tree.num_cells()),
-                    comp_b=j, cell_b=rng.randrange(comps[j].tree.num_cells()),
-                ))
-    return GraphSpec(components=tuple(comps), wiring=tuple(wiring))
+                cells = [rng.randrange(counts[i]), rng.randrange(counts[j])]
+                wiring.append({"components": [i, j], "cells": cells})
+    return {"components": comps, "wiring": wiring}
 
 
-def _sample_big_spec(rng: random.Random, n_target: int) -> GraphSpec:
+def _sample_big_spec(rng: random.Random, n_target: int) -> dict:
     """Benchmark-scale draw: deep star chains with geometric sizes, linear edges.
 
     Chains are added until fewer than 16 vertices remain, so trivial padding
     stays negligible and refinement work scales with n.
     """
-    comps: list[ComponentSpec] = []
+    comps: list[dict] = []
     keys: set[tuple] = set()
     remaining = n_target
     while remaining >= 16:
@@ -393,47 +328,52 @@ def _sample_big_spec(rng: random.Random, n_target: int) -> GraphSpec:
                 break
             sizes.append(nxt)
             total += nxt
-        chain: CellNode | None = None
-        for size in reversed(sizes):
-            chain = CellNode(size=size, children=(chain,) if chain else ())
-        assert chain is not None
-        comp = ComponentSpec(head="complete", tree=chain)
-        if comp.shape_key() in keys:
+        chain: dict = {"size": sizes[-1], "children": []}
+        for size in reversed(sizes[:-1]):
+            chain = {"size": size, "children": [chain]}
+        key = _shape_key("complete", _walk(chain))
+        if key in keys:
             continue  # identical chains would merge under refinement
-        keys.add(comp.shape_key())
-        comps.append(comp)
+        keys.add(key)
+        comps.append({"head": "complete", "tree": chain})
         remaining -= total
     if remaining == 1:
-        comps.append(ComponentSpec(head="complete", tree=CellNode(size=1)))
+        comps.append({"head": "complete", "tree": {"size": 1}})
     elif remaining > 1:
-        comps.append(ComponentSpec(head="empty", tree=CellNode(size=remaining)))
-    return GraphSpec(components=tuple(comps))
+        comps.append({"head": "empty", "tree": {"size": remaining}})
+    return {"components": comps}
 
 
-def _sample_tree(rng: random.Random, size: int, budget: int, depth: int) -> CellNode | None:
+def _sample_tree(rng: random.Random, size: int, budget: int, depth: int) -> dict | None:
     if size > budget:
         return None
     remaining = budget - size
-    children: list[CellNode] = []
+    children: list[dict] = []
     if depth < _MAX_DEPTH and remaining > 0:
         n_children = rng.randint(0, _MAX_CHILDREN)
         mults = [m for m in _MULTIPLICITIES if m * size <= remaining]
         rng.shuffle(mults)
         for m in mults[:n_children]:  # distinct multiplicities keep siblings split
             child = _sample_tree(rng, m * size, remaining, depth + 1)
-            if child is not None and child.total_size() <= remaining:
+            if child is not None:  # it fits: no draw exceeds its budget
                 children.append(child)
-                remaining -= child.total_size()
+                remaining -= sum(node["size"] for node, _ in _walk(child))
     # sibling leaf cells are invisible to refinement through star edges
     # alone; alternating fills keeps them apart
-    leaf_seen = 0
-    filled: list[CellNode] = []
-    for child in children:
-        if not child.children:
-            if leaf_seen % 2 == 1 and child.size >= 2:
-                child = CellNode(size=child.size, children=(), fill="complete")
-            leaf_seen += 1
-        filled.append(child)
-    return CellNode(size=size, children=tuple(filled))
+    leaves = [child for child in children if not child["children"]]
+    for leaf in leaves[1::2]:
+        if leaf["size"] >= 2:
+            leaf["fill"] = "complete"
+    return {"size": size, "children": children}
 
 
+def _shape_key(head: str, walk: list[tuple[dict, int]]) -> tuple:
+    """Identity of a sampled component up to isomorphism: its head kind plus
+    the size- and fill-labelled tree, children unordered."""
+    labels: list[list[tuple]] = [[] for _ in walk]  # child labels per cell
+    for i in reversed(range(len(walk))):  # children come after their parent
+        node, parent = walk[i]
+        label = (node["size"], node.get("fill", "empty"), tuple(sorted(labels[i])))
+        if parent >= 0:
+            labels[parent].append(label)
+    return (head, label)

@@ -11,9 +11,10 @@ pipeline, so the two sides can check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice, product
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cells import CellKind, Component, PairKind, build_cell_graph
 from .errors import InternalError, NotAmenableComponent, TooLarge
@@ -47,30 +48,30 @@ class RootedTree:
         if not 0 <= self.root < n or self.parent[self.root] != -1:
             raise ValueError("root must be in range with parent -1")
         for v, p in enumerate(self.parent):
-            if v == self.root:
-                continue
-            if not 0 <= p < n:
+            if v != self.root and not 0 <= p < n:
                 raise ValueError(f"parent of {v} out of range")
-        # every vertex must reach the root (no cycles)
-        for v in range(n):
-            seen = 0
-            x = v
-            while x != self.root:
-                x = self.parent[x]
-                seen += 1
-                if seen > n:
-                    raise ValueError("parent array contains a cycle")
+        if len(self.order) != n:  # a vertex the root does not reach is on a cycle
+            raise ValueError("parent array contains a cycle")
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
+    @cached_property
     def children(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n)]
         for v, p in enumerate(self.parent):
             if v != self.root:
                 out[p].append(v)
         return out
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The vertices the root reaches, breadth-first: each after its parent."""
+        order = [self.root]
+        for x in order:  # order grows as the walk goes
+            order.extend(self.children[x])
+        return order
 
 
 def rooted_tree_graph(t: RootedTree) -> tuple[Graph, Partition]:
@@ -380,34 +381,22 @@ def fix_number_bf(g: Graph, p: Partition | None = None,
 # ------------------------------------------------------------- rooted trees
 
 
-def _ahu_codes(t: RootedTree) -> list[tuple]:
-    """Canonical bottom-up subtree encodings; equal code iff isomorphic."""
-    children = t.children()
-    codes: list[tuple] = [()] * t.n
-    for x in _postorder_tree(children, t.root):
-        codes[x] = tuple(sorted(codes[y] for y in children[x]))
+def _ahu_codes(t: RootedTree) -> list[int]:
+    """Canonical bottom-up subtree codes; equal code iff isomorphic.
+
+    Each code is interned as an int, the sorted codes of its children the
+    key, so codes stay flat however deep the tree.
+    """
+    ids: dict[tuple, int] = {}
+    codes = [0] * t.n
+    for x in reversed(t.order):  # children before parents
+        codes[x] = ids.setdefault(tuple(sorted(codes[y] for y in t.children[x])), len(ids))
     return codes
 
 
-def _postorder_tree(
-    children: Sequence[Sequence[int]] | Mapping[int, Sequence[int]], root: int
-) -> list[int]:
-    out: list[int] = []
-    stack = [(root, False)]
-    while stack:
-        x, expanded = stack.pop()
-        if expanded:
-            out.append(x)
-            continue
-        stack.append((x, True))
-        for y in reversed(children[x]):
-            stack.append((y, False))
-    return out
-
-
-def _child_classes(children: list[int], codes: list[tuple]) -> list[tuple[int, int]]:
+def _child_classes(children: list[int], codes: list[int]) -> list[tuple[int, int]]:
     """(representative child, multiplicity) per isomorphism class."""
-    by_code: dict[tuple, list[int]] = {}
+    by_code: dict[int, list[int]] = {}
     for y in children:
         by_code.setdefault(codes[y], []).append(y)
     return [(ys[0], len(ys)) for ys in by_code.values()]
@@ -419,12 +408,11 @@ def tree_dist_count(t: RootedTree, c: int) -> int:
     The recursion groups child subtrees into isomorphism classes by AHU
     codes; independent of the symmetry module's code path.
     """
-    children = t.children()
     codes = _ahu_codes(t)
     count: list[int] = [0] * t.n
-    for x in _postorder_tree(children, t.root):
+    for x in reversed(t.order):
         acc = c
-        for rep, mult in _child_classes(children[x], codes):
+        for rep, mult in _child_classes(t.children[x], codes):
             acc *= comb(count[rep], mult)
         count[x] = acc
     return count[t.root]
@@ -446,8 +434,11 @@ def leg_dist_count_exact(sizes: Sequence[int], comp: Component, c: int) -> int:
     children: dict[int, list[int]] = {x: [] for x in comp.cells}
     for y, x in comp.parent.items():
         children[x].append(y)
+    order = [comp.root]
+    for x in order:  # breadth-first; order grows as the walk goes
+        order.extend(children[x])
     val: dict[int, int] = {}
-    for x in _postorder_tree(children, comp.root):
+    for x in reversed(order):
         acc = c
         for y in children[x]:
             mult, rem = divmod(sizes[y], sizes[x])
@@ -460,12 +451,11 @@ def leg_dist_count_exact(sizes: Sequence[int], comp: Component, c: int) -> int:
 
 def tree_fix(t: RootedTree) -> int:
     """Fixing number of a rooted tree via the class recursion."""
-    children = t.children()
     codes = _ahu_codes(t)
     fix: list[int] = [0] * t.n
-    for x in _postorder_tree(children, t.root):
+    for x in reversed(t.order):
         total = 0
-        for rep, mult in _child_classes(children[x], codes):
+        for rep, mult in _child_classes(t.children[x], codes):
             total += (mult - 1) if fix[rep] == 0 else mult * fix[rep]
         fix[x] = total
     return fix[t.root]

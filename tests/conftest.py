@@ -12,6 +12,16 @@ from graphsym.graph import Graph
 from graphsym.refinement import Partition
 
 
+# One 100-vertex component for the generator: a complete head of 5 cells
+# over a branched tree, whose sibling leaf cells of 30 and 20 vertices
+# need different fills or refinement merges them.
+BRANCHED_SPEC = {"components": [{"head": "complete", "tree": {"size": 5, "children": [
+    {"size": 10, "children": [{"size": 30}, {"size": 20, "fill": "complete"}]},
+    {"size": 15},
+    {"size": 5, "children": [{"size": 15}]},
+]}}]}
+
+
 @pytest.fixture
 def figure1() -> Graph:
     return generators.named("figure1")

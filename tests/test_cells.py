@@ -13,9 +13,9 @@ from graphsym import (
     stable_partition,
 )
 from graphsym.errors import NotEquitable
-from graphsym.generators import CellNode, ComponentSpec, GraphSpec, generate, named
+from graphsym.generators import generate, named
 
-from .conftest import graphs
+from .conftest import BRANCHED_SPEC, graphs
 
 
 def cell_graph_of(g):
@@ -78,16 +78,7 @@ def test_single_cell_component():
 
 
 def test_branched_component_multiplicities():
-    # the sibling leaf cells need different fills or refinement merges them
-    tree = CellNode(size=5, children=(
-        CellNode(size=10, children=(
-            CellNode(size=30), CellNode(size=20, fill="complete"),
-        )),
-        CellNode(size=15),
-        CellNode(size=5, children=(CellNode(size=15),)),
-    ))
-    spec = GraphSpec(components=(ComponentSpec(head="complete", tree=tree),))
-    g, intended = generate(spec, seed=5)
+    g, intended = generate(BRANCHED_SPEC, seed=5)
     assert g.n == 100
     p = stable_partition(g)
     assert p == intended

@@ -203,6 +203,50 @@ def test_gen_spec_malformed_is_bad_spec(tmp_path, capsys, text):
     assert json.loads(capsys.readouterr().out)["error"] == "BadSpec"
 
 
+_VALID_SPEC = {
+    "components": [
+        {"head": "complete", "root_size": 2,
+         "tree": {"size": 2, "children": [{"size": 4, "fill": "complete"}]}},
+        {"head": "empty", "tree": {"size": 3}},
+    ],
+    "wiring": [{"components": [0, 1], "cells": [1, 0]}],
+}
+_REPLACEMENTS = [None, True, 0, -1, 2, 2.5, "x", "2", [], [0, 1], ["0", 1], {},
+                 {"size": 2, "children": 3}]
+
+
+def _value_paths(doc, path=()):
+    """The key path of every value in a JSON document, the document's own first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def test_gen_spec_never_exits_3_on_a_mutated_spec(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    paths = list(_value_paths(_VALID_SPEC))
+    assert len(paths) * len(_REPLACEMENTS) == 299
+    for path in paths:
+        for value in _REPLACEMENTS:
+            spec_file.write_text(json.dumps(_replaced(_VALID_SPEC, path, value)))
+            code = run(["--json", "gen", "spec", str(spec_file)])
+            out = capsys.readouterr().out
+            if code != 0:
+                assert (code, json.loads(out)["error"]) == (1, "BadSpec"), (path, value)
+
+
 def test_oracle_answers_past_the_recursion_limit(tmp_path, capsys):
     n = 1500
     assert n > sys.getrecursionlimit()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from graphsym import (
@@ -13,55 +15,42 @@ from graphsym import (
 )
 from graphsym import generators
 from graphsym.errors import BadParams, BadSpec, BudgetExhausted
-from graphsym.generators import (
-    CellNode,
-    ComponentSpec,
-    GraphSpec,
-    generate,
-    named,
-    random_amenable,
-    validate_spec,
-)
+from graphsym.generators import generate, named, random_amenable, validate_spec
 
-BRANCHED_TREE = CellNode(size=5, children=(
-    CellNode(size=10, children=(
-        CellNode(size=30), CellNode(size=20, fill="complete"),
-    )),
-    CellNode(size=15),
-    CellNode(size=5, children=(CellNode(size=15),)),
-))
-JELLYFISH_TREE = CellNode(size=5, children=(
-    CellNode(size=5),
-    CellNode(size=5, children=(CellNode(size=10),)),
-))
+from .conftest import BRANCHED_SPEC
+
+JELLYFISH_SPEC = {"components": [{"head": "five_cycle", "tree": {"size": 5, "children": [
+    {"size": 5},
+    {"size": 5, "children": [{"size": 10}]},
+]}}]}
+
+
+def _one_cell(head: str, size: int) -> dict:
+    return {"components": [{"head": head, "tree": {"size": size}}]}
 
 
 def test_generate_branched_spec():
-    spec = GraphSpec(components=(ComponentSpec(head="complete", tree=BRANCHED_TREE),))
-    g, intended = generate(spec, seed=0)
+    g, intended = generate(BRANCHED_SPEC, seed=0)
     assert g.n == 100
     assert validate_spec(g, intended)
     assert check_amenable(g).amenable
 
 
 def test_generate_single_complete_cell_is_kn():
-    spec = GraphSpec(components=(ComponentSpec(head="complete", tree=CellNode(size=6)),))
-    g, intended = generate(spec, seed=0)
+    g, intended = generate(_one_cell("complete", 6), seed=0)
     assert g == named("kn", 6)
     assert validate_spec(g, intended)
 
 
 def test_generate_jellyfish_spec():
-    spec = GraphSpec(components=(ComponentSpec(head="five_cycle", tree=JELLYFISH_TREE),))
-    g, intended = generate(spec, seed=3)
+    g, intended = generate(JELLYFISH_SPEC, seed=3)
     assert g.n == 25
     assert validate_spec(g, intended)
     assert amenable_iso(g, named("jellyfish_fig3")) is IsoVerdict.ISOMORPHIC
 
 
 def test_recovered_forest_matches_spec_tree():
-    spec = GraphSpec(components=(ComponentSpec(head="five_cycle", tree=JELLYFISH_TREE),))
-    g, intended = generate(spec, seed=3)
+    g, intended = generate(JELLYFISH_SPEC, seed=3)
     verdict = check_amenable(g)
     comp = verdict.components[0]
     sizes = {c: len(intended.cells[c]) for c in comp.cells}
@@ -75,11 +64,36 @@ def test_recovered_forest_matches_spec_tree():
 
 
 def test_generate_deterministic():
-    spec = GraphSpec(components=(ComponentSpec(head="complete", tree=BRANCHED_TREE),))
-    assert generate(spec, seed=42) == generate(spec, seed=42)
-    g1, _ = generate(spec, seed=42)
-    g2, _ = generate(spec, seed=43)
+    assert generate(BRANCHED_SPEC, seed=42) == generate(BRANCHED_SPEC, seed=42)
+    g1, _ = generate(BRANCHED_SPEC, seed=42)
+    g2, _ = generate(BRANCHED_SPEC, seed=43)
     assert g1 != g2  # star assignment reshuffles
+
+
+def test_generate_reads_the_spec_by_value():
+    leaf = {"size": 2}
+    shared = {"components": [{"head": "empty", "tree": {"size": 1, "children": [leaf, leaf]}}]}
+    copied = json.loads(json.dumps(shared))
+    for seed in range(3):
+        assert generate(shared, seed=seed) == generate(copied, seed=seed)
+    g, _ = generate(shared)
+    assert g.m == 4  # both leaf cells hang off the root: no vertex is isolated
+
+
+def test_generate_leaves_its_argument_unchanged():
+    spec = {"components": [*JELLYFISH_SPEC["components"], *BRANCHED_SPEC["components"]],
+            "wiring": [{"components": [1, 0], "cells": [2, 1]}]}
+    before = json.loads(json.dumps(spec))
+    generate(spec, seed=5)
+    assert spec == before
+
+
+def test_generate_walks_a_deep_tree_without_recursion():
+    tree: dict = {"size": 1}
+    for _ in range(2999):
+        tree = {"size": 1, "children": [tree]}
+    g, _ = generate({"components": [{"head": "complete", "tree": tree}]})
+    assert g == named("pn", 3000)
 
 
 def test_validate_spec_rejects_merged_cells():
@@ -89,33 +103,48 @@ def test_validate_spec_rejects_merged_cells():
     assert validate_spec(named("kn", 4), Partition.unit(4))
 
 
-def test_spec_json_roundtrip():
-    spec = GraphSpec(
-        components=(
-            ComponentSpec(head="five_cycle", tree=JELLYFISH_TREE),
-            ComponentSpec(head="matching", tree=CellNode(size=4)),
-        ),
-    )
-    assert GraphSpec.from_json(spec.to_json()) == spec
+def _with_join(join) -> dict:
+    return {"components": [{"head": "empty", "tree": {"size": 2}},
+                           {"head": "complete", "tree": {"size": 3}}],
+            "wiring": [join]}
+
+
+BAD_SPECS = [
+    _one_cell("five_cycle", 4),
+    _one_cell("matching", 5),
+    {"components": [{"head": "empty", "tree": {"size": 3, "children": [{"size": 2}]}}]},
+    {"components": [{"head": "empty", "tree": {"size": 2, "children": [{"size": 3}]}}]},
+    {"components": []},
+    {"components": [{"head": "empty", "root_size": 3, "tree": {"size": 2}}]},
+    {"components": [{"head": "empty", "tree": {"size": 2, "fill": "full"}}]},
+    {"components": [{"head": "star", "tree": {"size": 2}}]},
+    _one_cell("empty", 0),
+    _one_cell("empty", 2.0),
+    _one_cell("empty", "2"),
+    _one_cell("empty", True),
+    {"components": [{"head": "empty", "root_size": True, "tree": {"size": 1}}]},
+    {"components": [{"head": "empty", "tree": {"size": 2, "children": {"size": 2}}}]},
+    {"components": [{"head": "empty", "tree": [2]}]},
+    {"components": [{"head": "empty"}]},
+    {"components": {"head": "empty", "tree": {"size": 2}}},
+    {},
+    [],
+    _with_join({"components": [0, 0], "cells": [0, 0]}),
+    _with_join({"components": [0, 2], "cells": [0, 0]}),
+    _with_join({"components": [0, 1], "cells": [1, 0]}),
+    _with_join({"components": [0, 1], "cells": [0.5, 0]}),
+    _with_join({"components": ["0", 1], "cells": [0, 0]}),
+    _with_join({"components": [0, 1, 1], "cells": [0, 0]}),
+    _with_join({"components": [0, 1]}),
+    _with_join([0, 1]),
+    {**_with_join({"components": [0, 1], "cells": [0, 0]}), "wiring": {}},
+]
 
 
 def test_bad_specs():
-    with pytest.raises(BadSpec):
-        ComponentSpec(head="five_cycle", tree=CellNode(size=4)).validate()
-    with pytest.raises(BadSpec):
-        ComponentSpec(head="matching", tree=CellNode(size=5)).validate()
-    with pytest.raises(BadSpec):
-        ComponentSpec(
-            head="empty",
-            tree=CellNode(size=3, children=(CellNode(size=2),)),
-        ).validate()
-    with pytest.raises(BadSpec):
-        ComponentSpec(
-            head="empty",
-            tree=CellNode(size=2, children=(CellNode(size=3),)),
-        ).validate()
-    with pytest.raises(BadSpec):
-        GraphSpec(components=()).validate()
+    for spec in BAD_SPECS:
+        with pytest.raises(BadSpec):
+            generate(spec)
 
 
 def test_named_families():

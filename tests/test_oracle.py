@@ -136,6 +136,27 @@ def test_tree_fix_examples():
     assert tree_fix(spider) == fix_number_bf(g, p)
 
 
+@pytest.mark.parametrize("parent, root", [
+    ((-1, 2, 1), 0),  # 1 and 2 are each other's parent
+    ((-1, 1), 0),  # 1 is its own parent
+    ((-1, 3), 0),
+    ((-1, -1), 0),
+    ((0, -1), 0),
+    ((-1,), 1),
+])
+def test_rooted_tree_rejects_a_bad_parent_array(parent, root):
+    with pytest.raises(ValueError):
+        RootedTree(parent=parent, root=root)
+
+
+def test_tree_fix_of_a_long_path_is_zero():
+    n = 10**5
+    path = RootedTree(parent=(-1, *range(n - 1)), root=0)
+    assert path.order == list(range(n))
+    assert tree_fix(path) == 0
+    assert tree_dist_count(path, 1) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(trees(max_n=7), st.integers(1, 4))
 def test_tree_count_matches_graph_oracle(t, c):

@@ -29,9 +29,9 @@ from graphsym import (
 )
 from graphsym import symmetry
 from graphsym.errors import BadCap, InternalError, NotAmenable
-from graphsym.generators import named, random_amenable
+from graphsym.generators import generate, named, random_amenable
 
-from .conftest import cell_tree, graphs
+from .conftest import BRANCHED_SPEC, cell_tree, graphs
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 
@@ -131,16 +131,7 @@ def test_component_fix_examples(figure1):
 
 
 def test_branched_component_values():
-    from graphsym.generators import CellNode, ComponentSpec, GraphSpec, generate
-
-    tree = CellNode(size=5, children=(
-        CellNode(size=10, children=(
-            CellNode(size=30), CellNode(size=20, fill="complete"),
-        )),
-        CellNode(size=15),
-        CellNode(size=5, children=(CellNode(size=15),)),
-    ))
-    g, _ = generate(GraphSpec(components=(ComponentSpec(head="complete", tree=tree),)), seed=1)
+    g, _ = generate(BRANCHED_SPEC, seed=1)
     verdict = check_amenable(g)
     assert verdict.amenable and len(verdict.components) == 1
     comp = verdict.components[0]
