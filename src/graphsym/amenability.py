@@ -12,8 +12,8 @@ cell and that cell attains the minimum size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cells import (
     CellGraph,
@@ -33,8 +33,7 @@ class Condition(Enum):
     D = "D"
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     condition: Condition
     cell: int | None = None
     pair: tuple[int, int] | None = None
@@ -50,8 +49,7 @@ class Failure:
         return out
 
 
-@dataclass(frozen=True)
-class AmenabilityVerdict:
+class AmenabilityVerdict(NamedTuple):
     amenable: bool
     cell_graph: CellGraph | None = None
     components: Components | None = None  # None unless amenable

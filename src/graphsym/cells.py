@@ -11,9 +11,9 @@ centers on the smaller side.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotEquitable
 from .graph import Graph
@@ -37,8 +37,7 @@ class PairKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     """Classification of one unordered cell pair; center_cell is set for star kinds."""
 
     kind: PairKind
@@ -56,8 +55,7 @@ def _heterogeneous(kind: CellKind) -> bool:
     return kind is not CellKind.EMPTY and kind is not CellKind.COMPLETE
 
 
-@dataclass(frozen=True)
-class CellGraph:
+class CellGraph(NamedTuple):
     """Sizes, kinds and degree constants over the cells of an equitable partition.
 
     Singleton cells are kept in bulk: ``d`` holds the rows of the
@@ -109,8 +107,7 @@ class CellGraph:
         }
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component of the anisotropic pairs, rooted, with what
     breaks conditions C and D in it.
 

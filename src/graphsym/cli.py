@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .amenability import amenable_iso, check_amenable
 from .cells import anisotropic_components, cell_graph_of_equitable
 from .errors import (
-    BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge, UsageError,
+    BadEdgeList, BadGraph6, BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge,
+    UsageError,
 )
 from .formats import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graph import Graph
@@ -31,17 +31,27 @@ EXIT_REFUSED = 2  # NotAmenable or TooLarge
 EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_text(path: str, fmt: str) -> str:
+    """The text of path, or of stdin for "-".  Input that is not UTF-8
+    raises the error of fmt: "graph6", "edgelist" or "spec"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason})"
+        if fmt == "graph6":
+            raise BadGraph6(exc.start, reason) from None
+        if fmt == "edgelist":
+            raise BadEdgeList(exc.object.count(b"\n", 0, exc.start) + 1, reason) from None
+        raise BadSpec(f"{reason} at byte {exc.start}") from None
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
     if fmt is None:
         fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
-    text = _read_text(path)
+    text = _read_text(path, fmt)
     if fmt == "graph6":
         return decode_graph6(text)
     g, _report = parse_edge_list(text)
@@ -173,7 +183,7 @@ def _cmd_gen(args) -> int:
     elif args.source == "random":
         g, _partition = generators.random_amenable(args.n, seed=args.seed)
     else:  # spec
-        spec = _load_spec(_read_text(args.spec_file))
+        spec = _load_spec(_read_text(args.spec_file, "spec"))
         g, _partition = generators.generate(spec, seed=args.seed)
     _write_graph(args, g)
     return EXIT_OK
@@ -262,6 +272,8 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, GraphSymError) as exc:
         return _fail(args, exc, EXIT_IO)
     except Exception as exc:  # a bug: report it with where it was raised
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         bug = InternalError(
             f"{type(exc).__name__}: {exc} (in {where.name}, {where.filename}:{where.lineno})"

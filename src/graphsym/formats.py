@@ -12,7 +12,7 @@ GRAPH6_MAX_BODY_BYTES of body, so n <= 14189.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadEdgeList, BadGraph6
 from .graph import Graph, from_edge_list
@@ -24,8 +24,7 @@ GRAPH6_MAX_BODY_BYTES = 1 << 24
 _SIX_BITS_TO_TEXT = bytes(range(63, 127)) + bytes(192)  # value v -> byte v + 63
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(NamedTuple):
     """What the edge-list parser had to clean up."""
 
     duplicate_edges: int
@@ -75,7 +74,10 @@ def decode_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise BadGraph6(exc.start, f"character {s[exc.start]!r} is not ASCII") from None
     for i, b in enumerate(data):
         if not 63 <= b <= 126:
             raise BadGraph6(i, f"byte {b} outside printable graph6 range")

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange, SelfLoop
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """A simple undirected graph.
 
     ``adjacency[v]`` is the strictly increasing tuple of neighbors of ``v``.

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import InvalidPartition
 from .graph import Graph, disjoint_union
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """A partition of the vertex set 0..n-1.
 
     Canonical form: cells are numbered by their minimum vertex, and each
@@ -84,8 +82,7 @@ class CrOutcome(Enum):
     CR_EQUIVALENT = "CrEquivalent"
 
 
-@dataclass(frozen=True)
-class CrVerdict:
+class CrVerdict(NamedTuple):
     outcome: CrOutcome
     witness_cell: int | None = None
 
@@ -101,8 +98,14 @@ def _check_initial(g: Graph, n: int) -> None:
         raise InvalidPartition(f"partition covers {n} vertices, graph has {g.n}")
 
 
-def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int]) -> list[int]:
+def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> list[int]:
     """Worklist refinement core; returns a raw (non-canonical) cell id per vertex.
+
+    The vertices of one color must have one degree.  Every equitable
+    partition refines the degree partition, so this loses nothing, and it
+    makes the whole vertex set a splitter already used: the neighbour counts
+    into it are the degrees.  So, as when a used splitter splits, one initial
+    cell is not queued, the one with the most neighbour entries.
 
     Splitters are whole current cells.  A splitter touches the vertices it
     has neighbours in; vertices of singleton cells are skipped, since those
@@ -119,7 +122,7 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int]) -> list[
       grouped by count and the groups ordered, after the untouched ones.
     """
     n = len(colors)
-    index: dict[int, int] = {}
+    index: dict[Hashable, int] = {}
     cell_of = [index.setdefault(col, len(index)) for col in colors]
     cell_size = [0] * len(index)
     for c in cell_of:
@@ -132,7 +135,9 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int]) -> list[
         fill[c] = at + 1
         verts[at], pos[v] = v, at
 
-    work = deque(range(len(cell_size)))
+    heaviest = max(range(len(cell_size)), default=None,
+                   key=lambda c: cell_size[c] * len(adj[verts[cell_start[c]]]))
+    work = deque(c for c in range(len(cell_size)) if c != heaviest)
     cnt = [0] * n
     touched: defaultdict[int, list[int]] = defaultdict(list)
     while work:
@@ -221,12 +226,14 @@ def refine(g: Graph, initial: Partition | Sequence[int]) -> Partition:
     """
     colors = initial.cell_of if isinstance(initial, Partition) else initial
     _check_initial(g, len(colors))
-    return Partition.from_colors(_refine_colors(g.adjacency, colors))
+    return Partition.from_colors(
+        _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency)))))
 
 
 def stable_partition(g: Graph) -> Partition:
-    """Coarsest equitable partition of g (refinement of the unit partition)."""
-    return Partition.from_colors(_refine_colors(g.adjacency, [0] * g.n))
+    """Coarsest equitable partition of g (refinement of the unit partition),
+    refined from the degree partition, which the unit cell splits into first."""
+    return Partition.from_colors(_refine_colors(g.adjacency, list(map(len, g.adjacency))))
 
 
 def first_deviation(g: Graph, p: Partition) -> tuple[int, int] | None:

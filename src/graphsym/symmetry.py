@@ -12,10 +12,9 @@ the big-integer recursion that checks them lives in the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
 from .cells import CellGraph, CellKind, Component, Components
@@ -29,20 +28,11 @@ class HeadShape(Enum):
     CO_MATCHING = "co_matching"
 
 
-@dataclass(frozen=True)
-class HeadKind:
+class HeadKind(NamedTuple):
     """What the root cell looks like after its normalizing complement."""
 
     shape: HeadShape
     size: int
-
-    def __post_init__(self):
-        if self.shape is HeadShape.FIVE_CYCLE and self.size != 5:
-            raise InternalError(f"five-cycle head of size {self.size}")
-        if self.shape is HeadShape.CO_MATCHING and (self.size < 4 or self.size % 2):
-            raise InternalError(f"co-matching head of size {self.size}")
-        if self.shape is HeadShape.COMPLETE and self.size < 1:
-            raise InternalError("empty complete head")
 
     @property
     def r(self) -> int:
@@ -83,14 +73,23 @@ def _binom_capped(f: int, m: int, cap: int) -> int:
 
 
 def head_of_component(cg: CellGraph, comp: Component) -> HeadKind:
-    """Head shape after complementing an empty or matching root cell."""
+    """Head shape after complementing an empty or matching root cell.
+
+    Raises InternalError when the root cell's size cannot have its kind.
+    """
     kind = cg.cell_kinds[comp.root]
     size = cg.cell_sizes[comp.root]
     if kind in (CellKind.EMPTY, CellKind.COMPLETE):
+        if size < 1:
+            raise InternalError("empty complete head")
         return HeadKind(shape=HeadShape.COMPLETE, size=size)
     if kind is CellKind.FIVE_CYCLE:
+        if size != 5:
+            raise InternalError(f"five-cycle head of size {size}")
         return HeadKind(shape=HeadShape.FIVE_CYCLE, size=size)
     if kind in (CellKind.MATCHING, CellKind.CO_MATCHING):
+        if size < 4 or size % 2:
+            raise InternalError(f"co-matching head of size {size}")
         return HeadKind(shape=HeadShape.CO_MATCHING, size=size)
     raise InternalError(
         f"root cell {comp.root} has unsupported kind {kind.value} (upstream amenability bug)"
@@ -144,8 +143,7 @@ def leg_fix(comp: Component) -> int:
     return val[root]
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     cells: tuple[int, ...]
     root: int
     head: HeadKind
@@ -169,8 +167,7 @@ def _singleton_report(cell: int) -> ComponentReport:  # a head K1 without legs
                            d_head=1, fix_head=0, leg_fix=0, dist=1, fix=0)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     dist_number: int
     fix_number: int
     components: Sequence[ComponentReport]
@@ -271,12 +268,8 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
         cached = memo.get(key)
         if cached is None:
             report = memo[key] = component_report(cg, comp)
-        else:  # field by field: dataclasses.replace is slower, once per component
-            report = ComponentReport(
-                cells=comp.cells, root=comp.root, head=cached.head,
-                d_head=cached.d_head, fix_head=cached.fix_head,
-                leg_fix=cached.leg_fix, dist=cached.dist, fix=cached.fix,
-            )
+        else:  # cells and root come first; the other fields are the shape's
+            report = ComponentReport(comp.cells, comp.root, *cached[2:])
         reports.append(report)
     return SymmetryReport(
         dist_number=max((r.dist for r in reports), default=min(g.n, 1)),

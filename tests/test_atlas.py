@@ -18,9 +18,15 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from graphsym import IsoVerdict, amenable_iso, check_amenable, from_edge_list, oracle
+from graphsym import (
+    IsoVerdict, Partition, amenable_iso, check_amenable, from_edge_list, oracle, refine,
+    stable_partition,
+)
+from graphsym.generators import random_amenable
 from graphsym.graph import relabel
 from graphsym.symmetry import analyze
+
+from .naive_refinement import refine_rounds
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +54,17 @@ def test_atlas_verdicts_match_the_definition(atlas):
     assert [verdict.amenable for _g, _ok, verdict in rows] == [ok for _g, ok, _v in rows]
     assert sum(ok for _g, ok, _v in rows) == 1201
     assert sorted(len(c) for c in shared) == [2] * 26
+
+
+def test_degree_start_gives_the_unit_start_partition(atlas):
+    """stable_partition starts from the degree partition and leaves one of
+    its cells unqueued; the round-based reference starts from one cell."""
+    rows, _shared = atlas
+    draws = [random_amenable(n, seed=seed)[0] for seed in range(40) for n in (10, 50, 200)]
+    for g in [g for g, _ok, _verdict in rows] + draws:
+        p = stable_partition(g)
+        assert p == refine(g, Partition.unit(g.n)), g
+        assert p.cell_of == refine_rounds(g.adjacency, [0] * g.n), g
 
 
 def test_atlas_dist_and_fix_match_brute_force(atlas):

@@ -171,6 +171,20 @@ def test_missing_file_is_io_error(capsys):
     assert run(["dist", "/nonexistent/graph.txt"]) == 1
 
 
+@pytest.mark.parametrize("name, command, error", [
+    ("bad.json", ["dist"], "BadEdgeList"),
+    ("bad.g6", ["dist"], "BadGraph6"),
+    ("bad.json", ["gen", "spec"], "BadSpec"),
+], ids=["edgelist", "graph6", "spec"])
+def test_input_that_is_not_utf8_is_a_format_error(tmp_path, capsys, name, command, error):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{")
+    assert run(["--json", *command, str(path)]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == error and "not UTF-8" in payload["message"]
+
+
 def test_cells_reports_non_tree_component(tmp_path, capsys):
     from .test_cells import _star_cycle_graph
 
@@ -317,7 +331,7 @@ import contextlib, io, json, sys
 from graphsym.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("graphsym."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -325,12 +339,20 @@ def test_commands_load_only_the_modules_they_run(fig1_file):
     src = os.path.dirname(os.path.dirname(graphsym.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
+    def python(*args) -> str:
+        return subprocess.run([sys.executable, "-c", *args], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    # slow to import, and not needed by an answer; a bare interpreter may
+    # load some of them already, such as through a site .pth file
+    costly = {"dataclasses", "inspect", "traceback"}
+    costly -= set(python("import sys; print(*sys.modules)").split())
+
     def loaded(*argv):
-        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        code, modules = json.loads(proc.stdout)
+        code, modules = json.loads(python(_LOADED, *argv))
         assert code == 0
-        return set(modules)
+        assert not costly & set(modules), argv
+        return {m for m in modules if m.startswith("graphsym.")}
 
     base = loaded()
     assert not base & {"graphsym.oracle", "graphsym.generators", "graphsym.symmetry"}

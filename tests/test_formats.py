@@ -82,6 +82,8 @@ def test_bad_graph6():
         decode_graph6("B")  # truncated body
     with pytest.raises(BadGraph6):
         decode_graph6("A\x19")  # byte below the printable range
+    with pytest.raises(BadGraph6, match="at byte 1: character 'é' is not ASCII"):
+        decode_graph6("Aé")
 
 
 def test_nonzero_padding_rejected():

@@ -174,6 +174,19 @@ def test_unsupported_root_kind_is_loud():
         head_of_component(cg, comp)
 
 
+def test_head_of_component_checks_the_root_size(figure1):
+    verdict = check_amenable(figure1)
+    cg, comp = verdict.cell_graph, verdict.components[2]  # a root cell of 4 vertices
+    kinds = list(cg.cell_kinds)
+    kinds[comp.root] = CellKind.FIVE_CYCLE
+    with pytest.raises(InternalError, match="five-cycle head of size 4"):
+        head_of_component(cg._replace(cell_kinds=tuple(kinds)), comp)
+    verdict = check_amenable(named("kn", 3))  # one cell of 3 vertices
+    cg, (comp,) = verdict.cell_graph, verdict.components
+    with pytest.raises(InternalError, match="co-matching head of size 3"):
+        head_of_component(cg._replace(cell_kinds=(CellKind.CO_MATCHING,)), comp)
+
+
 def test_component_report_rejects_a_bad_edge(figure1):
     verdict = check_amenable(figure1)
     comp = verdict.components[1]  # cells 1 and 3, a star pair
