@@ -114,17 +114,12 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     of one input; HeuristicEquivalent means color refinement found no
     difference but neither graph is amenable.
 
-    The disjoint union is refined once.  Its stable partition restricted to
-    g is g's stable partition, since a vertex's color depends only on its
-    own unfolding tree.  Only g is judged: if h were amenable, CR
-    equivalence would make g isomorphic to h and hence amenable too.
+    g is judged on its own stable partition, and only g: if h were amenable,
+    CR equivalence would make g isomorphic to h and hence amenable too.
     """
     verdict, p = cr_partition(g, h)
     if verdict.outcome is CrOutcome.DISTINGUISHED:
         return IsoVerdict.NOT_ISOMORPHIC
-    # each cell holds as many vertices of g as of h, g's first: its first
-    # half is g's cell, numbered by the same lowest vertex
-    half = Partition(cell_of=p.cell_of[:g.n], cells=tuple(c[:len(c) // 2] for c in p.cells))
-    if _judge(g, half).amenable:
+    if _judge(g, p).amenable:
         return IsoVerdict.ISOMORPHIC
     return IsoVerdict.HEURISTIC_EQUIVALENT

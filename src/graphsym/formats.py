@@ -1,7 +1,8 @@
 """Graph interchange formats: edge-list text and graph6.
 
 Edge-list format: '#' starts a comment line; the first data line is "n m";
-each of the following m lines is "u v" with 0-based endpoints.
+each of the following m lines is "u v" with 0-based endpoints.  A header
+with more than MAX_VERTICES vertices is refused before anything is built.
 
 graph6 follows McKay's specification: one printable ASCII line, vertex count
 followed by the upper triangle of the adjacency matrix in column-major order,
@@ -21,6 +22,9 @@ _HEADER = ">>graph6<<"
 # encode_graph6 refuses bodies above this many bytes (16 MiB, n <= 14189):
 # the body grows as n^2 / 12 bytes, about 2 GB at n = 160000.
 GRAPH6_MAX_BODY_BYTES = 1 << 24
+# parse_edge_list refuses a header above this many vertices: every vertex
+# gets a row, so "1000000000 0" alone would ask for hundreds of gigabytes.
+MAX_VERTICES = 1 << 20
 _SIX_BITS_TO_TEXT = bytes(range(63, 127)) + bytes(192)  # value v -> byte v + 63
 
 
@@ -48,6 +52,8 @@ def parse_edge_list(text: str) -> tuple[Graph, ParseReport]:
                 raise BadEdgeList(lineno, f"non-integer header {line!r}") from None
             if header[0] < 0 or header[1] < 0:
                 raise BadEdgeList(lineno, "negative n or m")
+            if header[0] > MAX_VERTICES:
+                raise BadEdgeList(lineno, f"n = {header[0]} is over the limit of {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise BadEdgeList(lineno, f"expected 'u v', got {line!r}")

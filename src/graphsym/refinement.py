@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from enum import Enum
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Hashable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidPartition
-from .graph import Graph, disjoint_union
+from .graph import Graph
 
 
 class Partition(NamedTuple):
@@ -86,19 +85,13 @@ class CrVerdict(NamedTuple):
     outcome: CrOutcome
     witness_cell: int | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"outcome": self.outcome.value}
-        if self.witness_cell is not None:
-            out["witness_cell"] = self.witness_cell
-        return out
-
 
 def _check_initial(g: Graph, n: int) -> None:
     if n != g.n:
         raise InvalidPartition(f"partition covers {n} vertices, graph has {g.n}")
 
 
-def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> list[int]:
+def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int | tuple]) -> list[int]:
     """Worklist refinement core; returns a raw (non-canonical) cell id per vertex.
 
     The vertices of one color must have one degree.  Every equitable
@@ -113,7 +106,9 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> 
     old id, and with it the old id's place in the queue if it has one; every
     other fragment gets a new id and is queued.  A vertex is therefore queued
     anew only in a cell at most half the size of the one it left, which gives
-    the (n + m) log n bound.  A cell splits in one of two ways:
+    the (n + m) log n bound.  Initial cells are numbered in sorted color order
+    and queued lightest first, and touched cells split in ascending id, so
+    ``raw(relabel(g, perm))[perm[v]] == raw(g)[v]``.  A cell splits in two ways:
 
     - touched against untouched, when all its touched vertices have the same
       count of splitter neighbours (always so for a singleton splitter, where
@@ -122,8 +117,8 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> 
       grouped by count and the groups ordered, after the untouched ones.
     """
     n = len(colors)
-    index: dict[Hashable, int] = {}
-    cell_of = [index.setdefault(col, len(index)) for col in colors]
+    index = {col: i for i, col in enumerate(sorted(set(colors)))}
+    cell_of = list(map(index.__getitem__, colors))
     cell_size = [0] * len(index)
     for c in cell_of:
         cell_size[c] += 1
@@ -135,9 +130,9 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> 
         fill[c] = at + 1
         verts[at], pos[v] = v, at
 
-    heaviest = max(range(len(cell_size)), default=None,
-                   key=lambda c: cell_size[c] * len(adj[verts[cell_start[c]]]))
-    work = deque(c for c in range(len(cell_size)) if c != heaviest)
+    by_entries = sorted(range(len(cell_size)),  # stable: ties stay in id order
+                        key=lambda c: cell_size[c] * len(adj[verts[cell_start[c]]]))
+    work = deque(by_entries[:-1])  # lightest first, the heaviest not at all
     cnt = [0] * n
     touched: defaultdict[int, list[int]] = defaultdict(list)
     while work:
@@ -157,7 +152,8 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[Hashable]) -> 
             for u in adj[verts[start]]:
                 if cell_size[c := cell_of[u]] > 1:
                     touched[c].append(u)
-        for c, tm in touched.items():
+        for c in sorted(touched) if len(touched) > 1 else touched:
+            tm = touched[c]
             groups = None
             if counted:
                 first = cnt[tm[0]]
@@ -263,21 +259,30 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     return first_deviation(g, p) is None
 
 
+def _quotient(g: Graph) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
+    """g's raw stable ids; per id, the cell's size and one member's sorted neighbour ids."""
+    raw = _refine_colors(g.adjacency, list(map(len, g.adjacency)))
+    size = Counter(raw)
+    return raw, {c: (size[c], sorted(map(raw.__getitem__, g.adjacency[v])))
+                 for c, v in dict(zip(raw, range(g.n))).items()}
+
+
 def cr_partition(g: Graph, h: Graph) -> tuple[CrVerdict, Partition]:
-    """The CR verdict on g and h plus the stable partition of their disjoint
-    union, in which g's vertices keep their ids and h's follow them."""
-    p = stable_partition(disjoint_union(g, h))
-    for i, cell in enumerate(p.cells):
-        if 2 * bisect_left(cell, g.n) != len(cell):  # cells list their members in order
-            return CrVerdict(outcome=CrOutcome.DISTINGUISHED, witness_cell=i), p
-    return CrVerdict(outcome=CrOutcome.CR_EQUIVALENT), p
+    """The CR verdict on g and h, each refined once, plus g's stable partition.
+
+    Raw ids are label-free, so CR tells g and h apart exactly where their
+    quotients differ, and the lowest such id is the witness: equal quotients
+    merge into a balanced equitable partition of the disjoint union, and
+    CR-equivalent graphs make the same splits in the same order."""
+    (raw, q_g), (_, q_h) = _quotient(g), _quotient(h)
+    witness = None if q_g == q_h else min(
+        c for c in q_g.keys() | q_h.keys() if q_g.get(c) != q_h.get(c))
+    outcome = CrOutcome.CR_EQUIVALENT if witness is None else CrOutcome.DISTINGUISHED
+    return CrVerdict(outcome, witness), Partition.from_colors(raw)
 
 
 def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
-    """The color-refinement isomorphism test on the disjoint union.
-
-    Distinguished is always sound (the graphs are not isomorphic).
-    CrEquivalent is definitive only when at least one input is amenable;
-    see the amenability module.
-    """
+    """The color-refinement isomorphism test.  Distinguished is always sound
+    (the graphs are not isomorphic); CrEquivalent is definitive only when at
+    least one input is amenable, see the amenability module."""
     return cr_partition(g, h)[0]

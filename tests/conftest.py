@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from graphsym import Component, from_edge_list, generators
 from graphsym.formats import GRAPH6_MAX_BODY_BYTES
-from graphsym.graph import Graph
+from graphsym.graph import Graph, disjoint_union
 from graphsym.refinement import Partition
+
+from .naive_refinement import refine_rounds
 
 
 # One 100-vertex component for the generator: a complete head of 5 cells
@@ -149,3 +152,11 @@ def refines(p: Partition, other: Partition) -> bool:
     if p.n != other.n:
         return False
     return all(len({other.cell_of[v] for v in cell}) == 1 for cell in p.cells)
+
+
+def union_cr_equivalent(g: Graph, h: Graph) -> bool:
+    """The CR test the textbook way, as the reference for cr_iso_test:
+    refine the disjoint union with the round-based reference and check that
+    every cell holds as many vertices of g as of h."""
+    colors = refine_rounds(disjoint_union(g, h).adjacency, [0] * (g.n + h.n))
+    return Counter(colors[:g.n]) == Counter(colors[g.n:])

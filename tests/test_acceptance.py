@@ -14,6 +14,7 @@ import pytest
 
 from graphsym import (
     CrOutcome,
+    Partition,
     analyze,
     check_amenable,
     cr_iso_test,
@@ -26,6 +27,7 @@ from graphsym import (
     leg_fix,
     min_c_binom,
     oracle,
+    refinement,
     stable_partition,
 )
 from graphsym.amenability import Condition
@@ -247,3 +249,30 @@ def test_criterion_9_scaling():
     assert all(r <= 3.0 for r in ratios), f"doubling ratios {ratios}"
     table = ", ".join(f"n={n}: {t:.2f}s" for n, t in times)
     print(f"\nACCEPTANCE 9 PASS: {table}; doubling ratios {[f'{r:.2f}' for r in ratios]}")
+
+
+class _CountingRow(tuple):
+    """An adjacency row that counts the entries each iteration reads."""
+
+    visits = 0
+
+    def __iter__(self):
+        _CountingRow.visits += len(self)
+        return super().__iter__()
+
+
+def test_criterion_9_refinement_work():
+    """Criterion 9's draws, counted instead of timed: the refinement core
+    reads at most 2m (1 + floor(log2 n)) neighbour entries, the smaller-half
+    bound, whatever the host's load."""
+    counts = []
+    for i, size in enumerate([10_000, 20_000, 40_000, 80_000, 160_000]):
+        g, _ = random_amenable(size, seed=1000 + i)
+        rows = tuple(map(_CountingRow, g.adjacency))
+        _CountingRow.visits = 0
+        raw = refinement._refine_colors(rows, list(map(len, rows)))
+        assert Partition.from_colors(raw) == stable_partition(g)
+        bound = 2 * g.m * g.n.bit_length()  # bit_length is 1 + floor(log2 n)
+        assert _CountingRow.visits <= bound, f"n={g.n}: {_CountingRow.visits} visits > {bound}"
+        counts.append(f"n={g.n}: {_CountingRow.visits / (2 * g.m):.2f} x 2m")
+    print(f"\nACCEPTANCE 9 WORK PASS: {', '.join(counts)}")

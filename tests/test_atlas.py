@@ -19,13 +19,15 @@ import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from graphsym import (
-    IsoVerdict, Partition, amenable_iso, check_amenable, from_edge_list, oracle, refine,
-    stable_partition,
+    CrOutcome, IsoVerdict, Partition, amenable_iso, check_amenable, cr_iso_test, from_edge_list,
+    oracle, refine, stable_partition,
 )
 from graphsym.generators import random_amenable
 from graphsym.graph import relabel
+from graphsym.refinement import _refine_colors
 from graphsym.symmetry import analyze
 
+from .conftest import union_cr_equivalent
 from .naive_refinement import refine_rounds
 
 
@@ -67,6 +69,20 @@ def test_degree_start_gives_the_unit_start_partition(atlas):
         assert p.cell_of == refine_rounds(g.adjacency, [0] * g.n), g
 
 
+def test_raw_ids_survive_relabelling(atlas):
+    """The refinement core's raw cell ids, not just its cells, move with the
+    vertices: raw(relabel(g, perm))[perm[v]] == raw(g)[v]."""
+    rows, _shared = atlas
+    rng = random.Random(3)
+    draws = [random_amenable(n, seed=seed)[0] for seed in range(40) for n in (10, 50, 200, 1000)]
+    for g in [g for g, _ok, _verdict in rows] + draws:
+        perm = rng.sample(range(g.n), g.n)
+        h = relabel(g, perm)
+        raw_g = _refine_colors(g.adjacency, list(map(len, g.adjacency)))
+        raw_h = _refine_colors(h.adjacency, list(map(len, h.adjacency)))
+        assert [raw_h[perm[v]] for v in range(g.n)] == raw_g, g
+
+
 def test_atlas_dist_and_fix_match_brute_force(atlas):
     rows, _shared = atlas
     for g, ok, verdict in rows:
@@ -96,8 +112,8 @@ def test_atlas_relabelled_copies(atlas):
 
 
 def test_amenable_iso_judges_g_on_its_stable_partition(atlas, monkeypatch):
-    """When CR does not tell g and h apart, the first half of each union cell
-    is g's cell: amenable_iso judges g on exactly stable_partition(g)."""
+    """When CR does not tell g and h apart, amenable_iso judges g on the
+    partition its own refinement gave, exactly stable_partition(g)."""
     from graphsym import amenability, stable_partition
 
     judged = []
@@ -165,3 +181,25 @@ def test_atlas_oracle_search_matches_vf2(atlas):
     assert len(pairs) == 1253 + 3375
     for (g, G), (h, H) in pairs:
         assert (oracle.find_isomorphism(g, h) is not None) == nx.is_isomorphic(G, H), (g, h)
+
+
+def test_atlas_cr_iso_test_matches_the_union_reference(atlas):
+    """cr_iso_test, each graph refined alone and the quotients compared,
+    against the refined disjoint union: each atlas graph with a relabelled
+    copy, and every pair of atlas graphs with equal degree sequences."""
+    rows, _shared = atlas
+    rng = random.Random(4)
+    pairs = [(g, relabel(g, rng.sample(range(g.n), g.n))) for g, _ok, _verdict in rows]
+    by_degrees: dict[tuple, list] = {}
+    for g, _ok, _verdict in rows:
+        by_degrees.setdefault(g.degree_sequence(), []).append(g)
+    pairs += [pair for group in by_degrees.values() for pair in combinations(group, 2)]
+    assert len(pairs) == 1253 + 3375
+    outcomes = Counter()
+    for g, h in pairs:
+        verdict = cr_iso_test(g, h)
+        equivalent = verdict.outcome is CrOutcome.CR_EQUIVALENT
+        assert equivalent == union_cr_equivalent(g, h), (g, h)
+        assert (verdict.witness_cell is None) == equivalent, (g, h)
+        outcomes[equivalent] += 1
+    assert outcomes[False] > 0 and outcomes[True] > 1253

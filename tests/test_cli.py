@@ -9,7 +9,7 @@ import pytest
 
 import graphsym
 from graphsym.cli import run
-from graphsym.formats import format_edge_list, parse_edge_list
+from graphsym.formats import MAX_VERTICES, format_edge_list, parse_edge_list
 from graphsym.generators import named
 
 from .conftest import smallest_n_over_graph6_bound
@@ -183,6 +183,25 @@ def test_input_that_is_not_utf8_is_a_format_error(tmp_path, capsys, name, comman
     (line,) = capsys.readouterr().out.splitlines()
     payload = json.loads(line)
     assert payload["error"] == error and "not UTF-8" in payload["message"]
+
+
+@pytest.mark.parametrize("n", [10**9, MAX_VERTICES + 1])
+def test_edge_list_header_over_the_vertex_limit_is_refused(tmp_path, n):
+    """Refused before any row is built; the child runs under a 1 GiB
+    address-space limit, so a regression fails here instead of growing."""
+    path = tmp_path / "big.txt"
+    path.write_text(f"{n} 0\n")
+    src = os.path.dirname(os.path.dirname(graphsym.__file__))
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+              "from graphsym.cli import run; sys.exit(run(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", script, "--json", "amenable", str(path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    (line,) = done.stdout.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "BadEdgeList"
+    assert payload["message"] == (
+        f"bad edge list at line 1: n = {n} is over the limit of {MAX_VERTICES}")
 
 
 def test_cells_reports_non_tree_component(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """refine at 10^3-10^4 vertices against the round-based reference in
-``naive_refinement``, and under relabelling."""
+``naive_refinement``, and under relabelling; cr_iso_test against the
+union reference at the same sizes."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import random
 
 import pytest
 
-from graphsym import from_edge_list, refine, relabel, stable_partition
+from graphsym import CrOutcome, cr_iso_test, from_edge_list, refine, relabel, stable_partition
 from graphsym.graph import Graph, disjoint_union
+from graphsym.refinement import _refine_colors
 
+from .conftest import union_cr_equivalent
 from .naive_refinement import refine_rounds
 
 
@@ -61,5 +64,34 @@ def test_refine_matches_round_based_reference(name, build, k):
     moved = [0] * g.n
     for v, col in enumerate(colors):
         moved[perm[v]] = col
+    h = relabel(g, perm)
     image = {frozenset(perm[v] for v in cell) for cell in p.cells}
-    assert image == {frozenset(cell) for cell in refine(relabel(g, perm), moved).cells}
+    assert image == {frozenset(cell) for cell in refine(h, moved).cells}
+    # raw ids, not just cells, survive relabelling
+    raw_g = _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency))))
+    raw_h = _refine_colors(h.adjacency, list(zip(moved, map(len, h.adjacency))))
+    assert [raw_h[perm[v]] for v in range(g.n)] == raw_g
+
+
+def with_one_edge_moved(rng: random.Random, g: Graph) -> Graph:
+    """g less one edge plus one non-edge, with the same number of edges."""
+    edges = list(g.edges())
+    edges.pop(rng.randrange(len(edges)))
+    while True:
+        u, v = rng.sample(range(g.n), 2)
+        if not g.has_edge(u, v):  # so not the edge just removed either
+            return from_edge_list(g.n, edges + [(u, v)])
+
+
+@pytest.mark.parametrize("name, build", [CASES[0][:2], CASES[2][:2]], ids=["tree", "gnm"])
+def test_cr_iso_test_matches_the_union_reference(name, build):
+    """cr_iso_test, each graph refined alone, against the refined disjoint
+    union: a relabelled copy, and a relabelled copy with one edge moved."""
+    rng = random.Random(name)
+    g = build(rng)
+    copy = relabel(g, rng.sample(range(g.n), g.n))
+    moved = relabel(with_one_edge_moved(rng, g), rng.sample(range(g.n), g.n))
+    assert cr_iso_test(g, copy).outcome is CrOutcome.CR_EQUIVALENT
+    for h in (copy, moved):
+        equivalent = cr_iso_test(g, h).outcome is CrOutcome.CR_EQUIVALENT
+        assert equivalent == union_cr_equivalent(g, h), name
