@@ -7,15 +7,25 @@ and error is a single JSON object on stdout.
 
 Each command imports the modules it runs when it runs, so an answer does
 not pay for loading the symmetry, oracle or generator code it never uses.
+
+``iso`` loads and refines its second graph in a forked child while it does
+the first, when both inputs are regular files of at least FORK_MIN_BYTES,
+the process may run on two or more CPUs and the platform has ``os.fork``:
+the two refinements are independent and meet only at the comparison.  If
+the fork or the child fails in any way, the second graph is loaded in
+process, so every answer, error and exit code is the one without a child.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
+import stat
 import sys
 
-from .amenability import amenable_iso, check_amenable
+from .amenability import check_amenable, iso_from_quotients
 from .cells import anisotropic_components, cell_graph_of_equitable
 from .errors import (
     BadEdgeList, BadGraph6, BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge,
@@ -23,12 +33,17 @@ from .errors import (
 )
 from .formats import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graph import Graph
-from .refinement import stable_partition
+from .refinement import _quotient, stable_partition
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_REFUSED = 2  # NotAmenable or TooLarge
 EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
+
+# iso forks only when the smaller input file has at least this many bytes.
+# Below it the fork costs more than the overlap saves: forking for every
+# file made iso on 7-vertex graphs about 3-5 % slower.
+FORK_MIN_BYTES = 16 << 10
 
 
 def _read_text(path: str, fmt: str) -> str:
@@ -126,10 +141,90 @@ def _cmd_fix(args) -> int:
     return _symmetry_command(args, "fix_number")
 
 
+def _fork_pays(*paths: str) -> bool:
+    """True when iso should refine its second graph in a child: see the
+    module docstring."""
+    if "-" in paths or not hasattr(os, "fork"):
+        return False
+    try:
+        stats = [os.stat(path) for path in paths]
+    except OSError:  # the load in process reports it
+        return False
+    if not all(stat.S_ISREG(st.st_mode) and st.st_size >= FORK_MIN_BYTES for st in stats):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _fork_quotient(path: str, fmt: str | None) -> tuple[int, int] | None:
+    """Fork a child that loads the graph at path and writes its quotient
+    dict, marshalled, to a pipe: (pid, read end), or None if the fork fails.
+
+    The child writes only once the whole quotient is built, and leaves with
+    os._exit, never returning into the caller, exit code 0 on success."""
+    try:
+        fd, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN, ENOMEM: load in process
+        os.close(fd)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(fd)
+            data = marshal.dumps(_quotient(_load_graph(path, fmt))[1])
+            with open(w, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, fd
+
+
+def _received(pid: int, fd: int) -> dict | None:
+    """The quotient the child sent, or None if it failed in any way; the
+    child is reaped."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def _kill(pid: int, fd: int) -> None:
+    import signal
+
+    os.close(fd)
+    os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still the child
+    os.waitpid(pid, 0)
+
+
 def _cmd_iso(args) -> int:
-    g = _load_graph(args.graph, args.format)
-    h = _load_graph(args.other, args.format)
-    verdict = amenable_iso(g, h)
+    forks = _fork_pays(args.graph, args.other)
+    child = _fork_quotient(args.other, args.format) if forks else None
+    try:  # the first graph's errors come first, as without a child
+        g = _load_graph(args.graph, args.format)
+        quotient_g = _quotient(g)
+    except BaseException:
+        if child is not None:
+            _kill(*child)
+        raise
+    q_h = None if child is None else _received(*child)
+    if q_h is None:  # no child, or it failed: loading here raises what it met, if anything
+        q_h = _quotient(_load_graph(args.other, args.format))[1]
+    verdict = iso_from_quotients(g, quotient_g, q_h)
     _emit(args, {"verdict": verdict.value}, verdict.value)
     return EXIT_OK
 

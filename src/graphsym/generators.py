@@ -7,6 +7,11 @@ cells, and star joins along tree edges with centers toward the root.
 Cross-component joins are complete or absent.  Generation makes no
 stability promise; pair it with validate_spec, which simply re-runs
 refinement.
+
+A spec is refused with BadSpec, before anything is built, when its cells
+hold more than formats.MAX_VERTICES vertices in all or it implies more than
+MAX_EDGES edges; random_amenable refuses a target over MAX_VERTICES with
+BadParams.
 """
 
 from __future__ import annotations
@@ -14,10 +19,14 @@ from __future__ import annotations
 import random
 
 from .errors import BadParams, BadSpec, BudgetExhausted
+from .formats import MAX_VERTICES
 from .graph import Graph, from_edge_list
 from .refinement import Partition, stable_partition
 
 HEAD_KINDS = ("empty", "complete", "matching", "co_matching", "five_cycle")
+# generate refuses a spec implying more edges than this: one complete head
+# of 10^5 vertices alone implies 5 * 10^9, and every edge is a Python tuple.
+MAX_EDGES = 1 << 22
 _TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer"}
 
 
@@ -104,7 +113,31 @@ def _read(spec) -> tuple[list, list]:
         if ends[0][0] == ends[1][0]:
             raise BadSpec("wiring must join different components")
         joins.append(ends)
+    n, m = _implied_size(comps, joins)
+    if n > MAX_VERTICES:
+        raise BadSpec(f"{n} vertices is over the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise BadSpec(f"{m} edges is over the limit of {MAX_EDGES}")
     return comps, joins
+
+
+def _implied_size(comps: list, joins: list) -> tuple[int, int]:
+    """The vertex count of a read spec and the length of the edge list
+    generate builds for it: the head's edges, one star edge per non-root
+    vertex, a complete fill's edges and each join's product of sizes."""
+    n = m = 0
+    for head, walk in comps:
+        k = walk[0][0]["size"]
+        m += {"empty": 0, "complete": k * (k - 1) // 2, "matching": k // 2,
+              "co_matching": k * (k - 1) // 2 - k // 2, "five_cycle": 5}[head]
+        for node, parent in walk:
+            size = node["size"]
+            n += size
+            if parent >= 0:
+                m += size + (size * (size - 1) // 2 if node.get("fill") == "complete" else 0)
+    for (ca, xa), (cb, xb) in joins:
+        m += comps[ca][1][xa][0]["size"] * comps[cb][1][xb][0]["size"]
+    return n, m
 
 
 def generate(spec: dict, seed: int = 0) -> tuple[Graph, Partition]:
@@ -249,6 +282,8 @@ def random_amenable(n_target: int, seed: int = 0) -> tuple[Graph, Partition]:
     """
     if n_target < 1:
         raise BadParams(f"n_target must be >= 1, got {n_target}")
+    if n_target > MAX_VERTICES:
+        raise BadParams(f"n_target {n_target} is over the limit of {MAX_VERTICES}")
     rng = random.Random(seed)
     cap = n_target + 2
     for _ in range(_ATTEMPTS):

@@ -267,14 +267,15 @@ def _quotient(g: Graph) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
                  for c, v in dict(zip(raw, range(g.n))).items()}
 
 
-def cr_partition(g: Graph, h: Graph) -> tuple[CrVerdict, Partition]:
-    """The CR verdict on g and h, each refined once, plus g's stable partition.
+def cr_partition(quotient_g: tuple[list[int], dict], q_h: dict) -> tuple[CrVerdict, Partition]:
+    """The CR verdict on g and h plus g's stable partition, from g's
+    ``_quotient`` and h's quotient dict: each graph is refined once, apart.
 
     Raw ids are label-free, so CR tells g and h apart exactly where their
     quotients differ, and the lowest such id is the witness: equal quotients
     merge into a balanced equitable partition of the disjoint union, and
     CR-equivalent graphs make the same splits in the same order."""
-    (raw, q_g), (_, q_h) = _quotient(g), _quotient(h)
+    raw, q_g = quotient_g
     witness = None if q_g == q_h else min(
         c for c in q_g.keys() | q_h.keys() if q_g.get(c) != q_h.get(c))
     outcome = CrOutcome.CR_EQUIVALENT if witness is None else CrOutcome.DISTINGUISHED
@@ -285,4 +286,4 @@ def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
     """The color-refinement isomorphism test.  Distinguished is always sound
     (the graphs are not isomorphic); CrEquivalent is definitive only when at
     least one input is amenable, see the amenability module."""
-    return cr_partition(g, h)[0]
+    return cr_partition(_quotient(g), _quotient(h)[1])[0]

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
+import errno
 import json
+import marshal
 import os
+import random
+import signal
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 import graphsym
-from graphsym.cli import run
-from graphsym.formats import MAX_VERTICES, format_edge_list, parse_edge_list
-from graphsym.generators import named
+from graphsym import amenable_iso, from_edge_list, relabel
+from graphsym.cli import FORK_MIN_BYTES, run
+from graphsym.formats import MAX_VERTICES, encode_graph6, format_edge_list, parse_edge_list
+from graphsym.generators import named, random_amenable
+from graphsym.refinement import _quotient
 
 from .conftest import smallest_n_over_graph6_bound
+from .test_refinement_scale import gnm, with_one_edge_moved
 
 
 @pytest.fixture
@@ -185,23 +193,45 @@ def test_input_that_is_not_utf8_is_a_format_error(tmp_path, capsys, name, comman
     assert payload["error"] == error and "not UTF-8" in payload["message"]
 
 
-@pytest.mark.parametrize("n", [10**9, MAX_VERTICES + 1])
-def test_edge_list_header_over_the_vertex_limit_is_refused(tmp_path, n):
-    """Refused before any row is built; the child runs under a 1 GiB
-    address-space limit, so a regression fails here instead of growing."""
-    path = tmp_path / "big.txt"
-    path.write_text(f"{n} 0\n")
+def _run_limited(*argv: str) -> dict:
+    """The one JSON error of ``graphsym --json argv``, run to exit code 1 in
+    a child under a 1 GiB address-space limit, so that a regression that
+    allocates for what it should refuse fails instead of growing."""
     src = os.path.dirname(os.path.dirname(graphsym.__file__))
     script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
               "from graphsym.cli import run; sys.exit(run(sys.argv[1:]))")
-    done = subprocess.run([sys.executable, "-c", script, "--json", "amenable", str(path)],
+    done = subprocess.run([sys.executable, "-c", script, "--json", *argv],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 1, done.stdout + done.stderr
     (line,) = done.stdout.splitlines()
-    payload = json.loads(line)
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("n", [10**9, MAX_VERTICES + 1])
+def test_edge_list_header_over_the_vertex_limit_is_refused(tmp_path, n):
+    """Refused before any row is built."""
+    path = tmp_path / "big.txt"
+    path.write_text(f"{n} 0\n")
+    payload = _run_limited("amenable", str(path))
     assert payload["error"] == "BadEdgeList"
     assert payload["message"] == (
         f"bad edge list at line 1: n = {n} is over the limit of {MAX_VERTICES}")
+
+
+def test_generator_over_the_size_limits_is_refused(tmp_path):
+    """gen random and gen spec refuse a size over the limits before they build anything."""
+    payload = _run_limited("gen", "random", "--n", str(10**9))
+    assert payload == {"error": "BadParams",
+                       "message": f"n_target {10**9} is over the limit of {MAX_VERTICES}"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"components": [{"head": "empty", "tree": {"size": 10**9}}]}))
+    assert _run_limited("gen", "spec", str(path)) == {
+        "error": "BadSpec",
+        "message": f"bad generator spec: {10**9} vertices is over the limit of {MAX_VERTICES}"}
+    path.write_text(json.dumps({"components": [{"head": "complete", "tree": {"size": 3000}}]}))
+    assert _run_limited("gen", "spec", str(path)) == {
+        "error": "BadSpec",
+        "message": "bad generator spec: 4498500 edges is over the limit of 4194304"}
 
 
 def test_cells_reports_non_tree_component(tmp_path, capsys):
@@ -354,7 +384,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def test_commands_load_only_the_modules_they_run(fig1_file):
+def test_commands_load_only_the_modules_they_run(fig1_file, big_files):
     src = os.path.dirname(os.path.dirname(graphsym.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
@@ -364,7 +394,8 @@ def test_commands_load_only_the_modules_they_run(fig1_file):
 
     # slow to import, and not needed by an answer; a bare interpreter may
     # load some of them already, such as through a site .pth file
-    costly = {"dataclasses", "inspect", "traceback"}
+    costly = {"dataclasses", "inspect", "traceback",
+              "multiprocessing", "subprocess", "pickle", "concurrent"}
     costly -= set(python("import sys; print(*sys.modules)").split())
 
     def loaded(*argv):
@@ -377,6 +408,7 @@ def test_commands_load_only_the_modules_they_run(fig1_file):
     assert not base & {"graphsym.oracle", "graphsym.generators", "graphsym.symmetry"}
     assert loaded("amenable", fig1_file) == base
     assert loaded("iso", fig1_file, fig1_file) == base
+    assert loaded("iso", big_files["g"], big_files["copy"]) == base  # forks where it can
     assert loaded("dist", fig1_file) == base | {"graphsym.symmetry"}
 
 
@@ -409,3 +441,250 @@ def test_json_mode_builds_no_indented_text(fig1_file, capsys, monkeypatch):
     assert run(["cells", fig1_file]) == 0  # the counter sees the human text
     assert len(indented) == 1
     capsys.readouterr()
+
+
+# ------------------------------------------------- iso with a forked child
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    """Edge lists above FORK_MIN_BYTES: a 5000-vertex random_amenable draw
+    "g", a relabelled copy, and two malformed files of about the same size,
+    one failing on its first line and one on its last."""
+    d = tmp_path_factory.mktemp("big")
+    g, _ = random_amenable(5000, seed=5)
+    text = format_edge_list(g)
+    paths = {
+        "g": _write(d / "g.txt", text),
+        "copy": _write(d / "copy.txt",
+                       format_edge_list(relabel(g, random.Random(5).sample(range(g.n), g.n)))),
+        "bad_first": _write(d / "bad_first.txt", "x" + text),
+        "bad_last": _write(d / "bad_last.txt", text + "0 x\n"),
+    }
+    assert min(map(os.path.getsize, paths.values())) >= FORK_MIN_BYTES
+    return paths
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def iso_both_ways(monkeypatch, capsys, two_cpus):
+    """run(argv) with os.fork counted, then with os.fork failing as it does
+    when the system is out of processes: (forks made, (exit code, stdout,
+    stderr) with the fork, the same without it).  No child is left."""
+    fork = os.fork
+
+    def failing():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def both(argv):
+        forks = []
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        results = []
+        for replacement in (counted, failing):
+            monkeypatch.setattr(os, "fork", replacement)
+            code = run(argv)
+            results.append((code, *capsys.readouterr()))
+        _no_child_left()
+        return len(forks), results[0], results[1]
+
+    return both
+
+
+@pytest.mark.parametrize("g, h", [("g", "bad_last"), ("bad_first", "g"), ("bad_first", "bad_last")],
+                         ids=["h_malformed", "g_malformed", "both_malformed"])
+def test_iso_child_errors_are_those_in_process(big_files, iso_both_ways, g, h):
+    """The child's failure, or the first graph's, gives the exit code and
+    error of the path without a child; the first graph's error wins."""
+    with open(big_files["bad_last"], encoding="utf-8") as fh:
+        line = 1 if g == "bad_first" else len(fh.readlines())
+    for flags in ([], ["--json"]):
+        forks, forked, in_process = iso_both_ways([*flags, "iso", big_files[g], big_files[h]])
+        assert forks == 1
+        assert forked == in_process
+        code, out, err = forked
+        assert code == 1
+        message = json.loads(out)["message"] if flags else err
+        assert f"bad edge list at line {line}: " in message, message
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "short_write"])
+def test_iso_loads_in_process_when_the_child_fails(big_files, monkeypatch, capsys, two_cpus,
+                                                   failure):
+    from graphsym import cli
+
+    parent = os.getpid()
+    quotient, dumps = cli._quotient, marshal.dumps
+    in_parent = []
+
+    def child_quotient(g):
+        if os.getpid() == parent:
+            in_parent.append(g.n)
+        elif failure == "raises":
+            raise RuntimeError("the child fails")
+        elif failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return quotient(g)
+
+    def short_dumps(value):
+        data = dumps(value)
+        return data if os.getpid() == parent or failure != "short_write" else data[:len(data) // 2]
+
+    monkeypatch.setattr(cli, "_quotient", child_quotient)
+    monkeypatch.setattr(marshal, "dumps", short_dumps)
+    assert run(["--json", "iso", big_files["g"], big_files["copy"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "Isomorphic"}
+    assert in_parent == [5000, 5000]  # the second graph too, once the child failed
+    _no_child_left()
+
+
+def test_iso_kills_the_child_when_the_first_graph_fails(big_files, monkeypatch, capsys, two_cpus):
+    """A bug while refining the first graph is reported as ever, and the
+    child, still loading the second, is killed and reaped."""
+    from graphsym import cli
+
+    parent, quotient = os.getpid(), cli._quotient
+
+    def broken(g):
+        return 1 // 0 if os.getpid() == parent else quotient(g)
+
+    monkeypatch.setattr(cli, "_quotient", broken)
+    assert run(["--json", "iso", big_files["g"], big_files["copy"]]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "InternalError"
+    _no_child_left()
+
+
+def test_iso_reads_stdin_in_process(big_files, monkeypatch, capsys, two_cpus):
+    import io
+
+    def no_fork():
+        raise AssertionError("iso forked with stdin as an input")
+
+    with open(big_files["g"], encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(["iso", "-", big_files["copy"]]) == 0
+    assert capsys.readouterr().out == "Isomorphic\n"
+
+
+@pytest.fixture(scope="module")
+def pairs_above_the_threshold(tmp_path_factory):
+    """Two random_amenable draws and a G(n, 3n), n >= 5000, each against a
+    relabelled copy and against a relabelled copy with one edge moved."""
+    d = tmp_path_factory.mktemp("pairs")
+    rng = random.Random(17)
+    graphs = [random_amenable(5000, seed=seed)[0] for seed in (11, 12)] + [gnm(rng, 5000, 15000)]
+    pairs = []
+    for i, g in enumerate(graphs):
+        path = _write(d / f"g{i}.txt", format_edge_list(g))
+        for name, h in (("copy", g), ("moved", with_one_edge_moved(rng, g))):
+            h = relabel(h, rng.sample(range(h.n), h.n))
+            pairs.append((g, h, path, _write(d / f"g{i}-{name}.txt", format_edge_list(h))))
+    assert min(os.path.getsize(p) for pair in pairs for p in pair[2:]) >= FORK_MIN_BYTES
+    return pairs
+
+
+def _atlas_pairs(tmp_path) -> list:
+    """The atlas graphs that CR does not tell apart, in both orders, as
+    graph6 files, and every 25th atlas graph with a relabelled copy."""
+    graphs = [from_edge_list(G.number_of_nodes(), list(G.edges())) for G in nx.graph_atlas_g()]
+    classes: dict[tuple, list] = {}
+    for g in graphs:
+        classes.setdefault((g.n, repr(sorted(_quotient(g)[1].items()))), []).append(g)
+    rng = random.Random(23)
+    pairs = [(g, h) for cls in classes.values() for g in cls for h in cls if g is not h]
+    pairs += [(g, relabel(g, rng.sample(range(g.n), g.n))) for g in graphs[1::25]]
+    out = []
+    for i, (g, h) in enumerate(pairs):
+        out.append((g, h, _write(tmp_path / f"{i}a.g6", encode_graph6(g) + "\n"),
+                    _write(tmp_path / f"{i}b.g6", encode_graph6(h) + "\n")))
+    return out
+
+
+def test_iso_forked_matches_in_process(pairs_above_the_threshold, tmp_path, iso_both_ways):
+    """Byte for byte, with and without --json: pairs of files above
+    FORK_MIN_BYTES fork, the atlas pairs below it do not."""
+    atlas = _atlas_pairs(tmp_path)
+    assert len(atlas) >= 52
+    assert max(os.path.getsize(p) for pair in atlas for p in pair[2:]) < FORK_MIN_BYTES
+    seen = set()
+    for pairs, forks_each in ((pairs_above_the_threshold, 1), (atlas, 0)):
+        for g, h, g_path, h_path in pairs:
+            expected = amenable_iso(g, h).value
+            seen.add(expected)
+            printed = {(): f"{expected}\n", ("--json",): f'{{"verdict": "{expected}"}}\n'}
+            for flags, out in printed.items():
+                forks, forked, in_process = iso_both_ways([*flags, "iso", g_path, h_path])
+                assert forks == forks_each
+                assert forked == in_process == (0, out, "")
+    assert seen == {"Isomorphic", "NotIsomorphic", "HeuristicEquivalent"}
+
+
+# ------------------------------------------------------ byte-mutated inputs
+
+
+def _mutated(data: bytes, rng: random.Random) -> bytes:
+    """data with one to three bytes inserted, replaced or deleted, drawn
+    mostly from the bytes that the two formats give meaning to."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(out) + 1)
+        byte = rng.choice(b"0123456789 \n#-~?@_x") if rng.random() < 0.8 else rng.randrange(256)
+        op = rng.randrange(3) if out else 0
+        if op == 0:
+            out.insert(i, byte)
+        elif op == 1:
+            out[min(i, len(out) - 1)] = byte
+        else:
+            del out[min(i, len(out) - 1)]
+    return bytes(out)
+
+
+def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, two_cpus):
+    """Seeded byte mutations of an edge list and a graph6 file through every
+    graph command, and of a file above FORK_MIN_BYTES through iso either
+    side: each run exits 0, 1 or 2 with one JSON object."""
+    rng = random.Random(2024)
+    runs = []
+    for name, text in (("fig1.txt", format_edge_list(named("figure1"))),
+                       ("jelly.g6", encode_graph6(named("jellyfish_fig3")) + "\n")):
+        original = _write(tmp_path / name, text)
+        path = tmp_path / f"mutated-{name}"
+        for _ in range(50):
+            path.write_bytes(_mutated(text.encode(), rng))
+            p = str(path)
+            runs += [[command, p] for command in ("refine", "cells", "amenable", "dist", "fix")]
+            runs += [["iso", p, original], ["iso", original, p]]
+            for argv in runs[-7:]:
+                code = run(["--json", *argv])
+                (line,) = capsys.readouterr().out.splitlines()
+                assert code in (0, 1, 2), (argv, path.read_bytes())
+                assert isinstance(json.loads(line), dict), argv
+    with open(big_files["g"], "rb") as fh:
+        big = fh.read()
+    path = tmp_path / "mutated-big.txt"
+    for _ in range(8):
+        path.write_bytes(_mutated(big, rng))
+        for argv in (["iso", str(path), big_files["copy"]], ["iso", big_files["copy"], str(path)]):
+            code = run(["--json", *argv])
+            (line,) = capsys.readouterr().out.splitlines()
+            assert code in (0, 1, 2) and isinstance(json.loads(line), dict), argv
+    _no_child_left()

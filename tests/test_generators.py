@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from graphsym import (
 )
 from graphsym import generators
 from graphsym.errors import BadParams, BadSpec, BudgetExhausted
+from graphsym.formats import MAX_VERTICES
 from graphsym.generators import generate, named, random_amenable, validate_spec
 
 from .conftest import BRANCHED_SPEC
@@ -138,6 +140,16 @@ BAD_SPECS = [
     _with_join({"components": [0, 1]}),
     _with_join([0, 1]),
     {**_with_join({"components": [0, 1], "cells": [0, 0]}), "wiring": {}},
+    # past the size limits, refused before anything is built
+    _one_cell("empty", MAX_VERTICES + 1),
+    {"components": [{"head": "empty", "tree": {"size": MAX_VERTICES}},
+                    {"head": "complete", "tree": {"size": 1}}]},
+    _one_cell("complete", 3000),
+    {"components": [{"head": "empty", "tree": {"size": 1, "children": [
+        {"size": 3000, "fill": "complete"}]}}]},
+    {"components": [{"head": "empty", "tree": {"size": 2100}},
+                    {"head": "complete", "tree": {"size": 1, "children": [{"size": 2100}]}}],
+     "wiring": [{"components": [0, 1], "cells": [0, 1]}]},
 ]
 
 
@@ -145,6 +157,17 @@ def test_bad_specs():
     for spec in BAD_SPECS:
         with pytest.raises(BadSpec):
             generate(spec)
+
+
+def test_implied_size_is_what_generate_builds():
+    """The vertex and edge counts checked against the limits are those of
+    the graph built: sampled specs join each pair of components at most
+    once, so no edge is built twice."""
+    rng = random.Random(0)
+    specs = [generators._sample_spec(rng, n, n + 2) for n in (5, 12, 40, 255, 600) * 12]
+    for spec in filter(None, specs):
+        g, _ = generate(spec)
+        assert generators._implied_size(*generators._read(spec)) == (g.n, g.m), spec
 
 
 def test_named_families():
@@ -173,6 +196,8 @@ def test_random_amenable_validates_and_is_deterministic():
 
 
 def test_random_amenable_degenerate_and_large():
+    with pytest.raises(BadParams):
+        random_amenable(MAX_VERTICES + 1)
     g, _ = random_amenable(1, seed=0)
     assert g.n <= 3
     g, p = random_amenable(2000, seed=1)
