@@ -24,7 +24,7 @@ from .cells import (
     cell_graph_of_equitable,
 )
 from .graph import Graph
-from .refinement import CrOutcome, Partition, _quotient, cr_partition, stable_partition
+from .refinement import Partition, _quotient, stable_partition
 
 class Condition(Enum):
     A = "A"
@@ -117,14 +117,13 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     g is judged on its own stable partition, and only g: if h were amenable,
     CR equivalence would make g isomorphic to h and hence amenable too.
     """
-    return iso_from_quotients(g, _quotient(g), _quotient(h)[1])
+    return iso_from_quotients(g, *_quotient(g), _quotient(h)[1])
 
 
-def iso_from_quotients(g: Graph, quotient_g: tuple[list[int], dict], q_h: dict) -> IsoVerdict:
-    """amenable_iso from g, ``_quotient(g)`` and the quotient dict of h's,
+def iso_from_quotients(g: Graph, p: Partition, q_g: dict, q_h: dict) -> IsoVerdict:
+    """amenable_iso from g, ``_quotient(g)`` = (p, q_g) and h's quotient q_h,
     so that h can be loaded and refined elsewhere, as ``graphsym iso`` does."""
-    verdict, p = cr_partition(quotient_g, q_h)
-    if verdict.outcome is CrOutcome.DISTINGUISHED:
+    if q_g != q_h:
         return IsoVerdict.NOT_ISOMORPHIC
     if _judge(g, p).amenable:
         return IsoVerdict.ISOMORPHIC

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import NotEquitable
 from .graph import Graph
-from .refinement import Partition, first_deviation
+from .refinement import Partition, first_deviation, neighbour_counts
 
 
 class CellKind(Enum):
@@ -185,17 +185,14 @@ def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
     """build_cell_graph for a partition known to be equitable, such as one
     fresh from refine: d is read from the lowest vertex of each nonsingleton
     cell, and a pair of two such cells is classified when the higher is read."""
-    cell_of, adjacency, cells = p.cell_of, g.adjacency, p.cells
+    cell_of, cells = p.cell_of, p.cells
     sizes = tuple(map(len, cells))
     nonsingleton = tuple(i for i, size in enumerate(sizes) if size > 1)
     kinds = [CellKind.EMPTY] * len(sizes)
     d: dict[tuple[int, int], int] = {}
     pair_classes: dict[tuple[int, int], PairClass] = {}
     for i in nonsingleton:
-        profile: dict[int, int] = {}
-        for u in adjacency[cells[i][0]]:
-            c = cell_of[u]
-            profile[c] = profile.get(c, 0) + 1
+        profile = neighbour_counts(g, cell_of, cells[i][0])
         d[(i, i)] = profile.pop(i, 0)
         kinds[i] = _classify_cell(sizes[i], d[(i, i)])
         for j, count in profile.items():

@@ -216,7 +216,7 @@ def _cmd_iso(args) -> int:
     child = _fork_quotient(args.other, args.format) if forks else None
     try:  # the first graph's errors come first, as without a child
         g = _load_graph(args.graph, args.format)
-        quotient_g = _quotient(g)
+        p, q_g = _quotient(g)
     except BaseException:
         if child is not None:
             _kill(*child)
@@ -224,7 +224,7 @@ def _cmd_iso(args) -> int:
     q_h = None if child is None else _received(*child)
     if q_h is None:  # no child, or it failed: loading here raises what it met, if anything
         q_h = _quotient(_load_graph(args.other, args.format))[1]
-    verdict = iso_from_quotients(g, quotient_g, q_h)
+    verdict = iso_from_quotients(g, p, q_g, q_h)
     _emit(args, {"verdict": verdict.value}, verdict.value)
     return EXIT_OK
 

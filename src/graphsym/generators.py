@@ -10,13 +10,15 @@ refinement.
 
 A spec is refused with BadSpec, before anything is built, when its cells
 hold more than formats.MAX_VERTICES vertices in all or it implies more than
-MAX_EDGES edges; random_amenable refuses a target over MAX_VERTICES with
-BadParams.
+MAX_EDGES edges; random_amenable refuses a target, and named parameters,
+over the limits with BadParams.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
+from itertools import combinations
 
 from .errors import BadParams, BadSpec, BudgetExhausted
 from .formats import MAX_VERTICES
@@ -220,23 +222,23 @@ def named(family: str, *params: int) -> Graph:
         if family == "kn":
             (n,) = params
             _require(n >= 0, "kn needs n >= 0")
-            return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+            return _bounded(n, n * (n - 1) // 2, combinations(range(n), 2))
         if family == "pn":
             (n,) = params
             _require(n >= 1, "pn needs n >= 1")
-            return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+            return _bounded(n, n - 1, ((i, i + 1) for i in range(n - 1)))
         if family == "cn":
             (n,) = params
             _require(n >= 3, "cn needs n >= 3")
-            return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+            return _bounded(n, n, ((i, (i + 1) % n) for i in range(n)))
         if family == "kab":
             a, b = params
             _require(a >= 0 and b >= 0, "kab needs a, b >= 0")
-            return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+            return _bounded(a + b, a * b, ((i, a + j) for i in range(a) for j in range(b)))
         if family == "rk2":
             (r,) = params
             _require(r >= 1, "rk2 needs r >= 1")
-            return from_edge_list(2 * r, [(2 * i, 2 * i + 1) for i in range(r)])
+            return _bounded(2 * r, r, ((2 * i, 2 * i + 1) for i in range(r)))
         if family == "figure1":
             _require(not params, "figure1 takes no parameters")
             edges = [(0, i) for i in range(1, 9)]
@@ -252,6 +254,13 @@ def named(family: str, *params: int) -> Graph:
     except ValueError as exc:
         raise BadParams(f"{family}: {exc}") from None
     raise BadParams(f"unknown family {family!r}")
+
+
+def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """from_edge_list(n, edges), refused before edges is read if n or m is over its limit."""
+    _require(n <= MAX_VERTICES, f"{n} vertices is over the limit of {MAX_VERTICES}")
+    _require(m <= MAX_EDGES, f"{m} edges is over the limit of {MAX_EDGES}")
+    return from_edge_list(n, edges)
 
 
 def _require(cond: bool, message: str) -> None:

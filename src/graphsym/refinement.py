@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from enum import Enum
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -83,7 +83,6 @@ class CrOutcome(Enum):
 
 class CrVerdict(NamedTuple):
     outcome: CrOutcome
-    witness_cell: int | None = None
 
 
 def _check_initial(g: Graph, n: int) -> None:
@@ -232,24 +231,26 @@ def stable_partition(g: Graph) -> Partition:
     return Partition.from_colors(_refine_colors(g.adjacency, list(map(len, g.adjacency))))
 
 
+def neighbour_counts(g: Graph, cell_of: Sequence[int], v: int) -> dict[int, int]:
+    """Per cell id, how many neighbours v has in it, in order of first neighbour."""
+    counts: dict[int, int] = {}
+    for u in g.adjacency[v]:
+        c = cell_of[u]
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
 def first_deviation(g: Graph, p: Partition) -> tuple[int, int] | None:
     """The first vertex, with its cell, whose per-cell neighbor counts differ
     from those of the lowest vertex in its cell; None if p is equitable."""
     _check_initial(g, p.n)
     cell_of, cells = p.cell_of, p.cells
     reference: dict[int, dict[int, int]] = {}
-    profile: dict[int, int] = {}
     for v, c in enumerate(cell_of):
         if len(cells[c]) == 1:  # its own reference
             continue
-        profile.clear()
-        for u in g.adjacency[v]:
-            cu = cell_of[u]
-            profile[cu] = profile.get(cu, 0) + 1
-        ref = reference.get(c)
-        if ref is None:
-            reference[c] = dict(profile)
-        elif ref != profile:
+        counts = neighbour_counts(g, cell_of, v)
+        if reference.setdefault(c, counts) != counts:
             return v, c
     return None
 
@@ -259,31 +260,23 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     return first_deviation(g, p) is None
 
 
-def _quotient(g: Graph) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
-    """g's raw stable ids; per id, the cell's size and one member's sorted neighbour ids."""
+def _quotient(g: Graph) -> tuple[Partition, dict[int, tuple[int, list[int]]]]:
+    """g's stable partition p, and per cell of p its raw id's row: the
+    cell's size and the sorted raw ids of its lowest vertex's neighbours.
+
+    Raw ids are label-free, so g and h are CR-equivalent exactly when their
+    quotients are equal: equal quotients merge into an equitable partition
+    of the disjoint union with as many vertices of either graph in each
+    cell, and CR-equivalent graphs make the same splits in the same order."""
     raw = _refine_colors(g.adjacency, list(map(len, g.adjacency)))
-    size = Counter(raw)
-    return raw, {c: (size[c], sorted(map(raw.__getitem__, g.adjacency[v])))
-                 for c, v in dict(zip(raw, range(g.n))).items()}
-
-
-def cr_partition(quotient_g: tuple[list[int], dict], q_h: dict) -> tuple[CrVerdict, Partition]:
-    """The CR verdict on g and h plus g's stable partition, from g's
-    ``_quotient`` and h's quotient dict: each graph is refined once, apart.
-
-    Raw ids are label-free, so CR tells g and h apart exactly where their
-    quotients differ, and the lowest such id is the witness: equal quotients
-    merge into a balanced equitable partition of the disjoint union, and
-    CR-equivalent graphs make the same splits in the same order."""
-    raw, q_g = quotient_g
-    witness = None if q_g == q_h else min(
-        c for c in q_g.keys() | q_h.keys() if q_g.get(c) != q_h.get(c))
-    outcome = CrOutcome.CR_EQUIVALENT if witness is None else CrOutcome.DISTINGUISHED
-    return CrVerdict(outcome, witness), Partition.from_colors(raw)
+    p = Partition.from_colors(raw)
+    return p, {raw[cell[0]]: (len(cell), sorted(map(raw.__getitem__, g.adjacency[cell[0]])))
+               for cell in p.cells}
 
 
 def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
     """The color-refinement isomorphism test.  Distinguished is always sound
     (the graphs are not isomorphic); CrEquivalent is definitive only when at
     least one input is amenable, see the amenability module."""
-    return cr_partition(_quotient(g), _quotient(h)[1])[0]
+    same = _quotient(g)[1] == _quotient(h)[1]
+    return CrVerdict(CrOutcome.CR_EQUIVALENT if same else CrOutcome.DISTINGUISHED)

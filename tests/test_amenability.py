@@ -178,3 +178,25 @@ def test_amenable_iso_refines_once(monkeypatch):
     two_c3 = disjoint_union(c3, c3)
     assert amenable_iso(named("cn", 6), two_c3) is IsoVerdict.HEURISTIC_EQUIVALENT
     assert calls == [6, 6]
+
+
+def test_iso_from_quotients_numbers_nothing_again(monkeypatch):
+    """Given _quotient(g) and h's quotient, iso_from_quotients judges g on
+    the partition _quotient returned: it neither refines nor numbers g again."""
+    from graphsym import amenability, refinement
+
+    g, _ = random_amenable(12, seed=3)
+    c3 = named("cn", 3)
+    cases = [(g, relabel(g, list(range(g.n))[::-1]), IsoVerdict.ISOMORPHIC),
+             (g, named("kn", g.n), IsoVerdict.NOT_ISOMORPHIC),
+             (named("cn", 6), disjoint_union(c3, c3), IsoVerdict.HEURISTIC_EQUIVALENT)]
+    quotients = [(g, *refinement._quotient(g), refinement._quotient(h)[1], expected)
+                 for g, h, expected in cases]
+
+    def numbers_again(*_args):
+        raise AssertionError("g was refined or numbered again")
+
+    monkeypatch.setattr(refinement, "_refine_colors", numbers_again)
+    monkeypatch.setattr(refinement.Partition, "from_colors", classmethod(numbers_again))
+    for g, p, q_g, q_h, expected in quotients:
+        assert amenability.iso_from_quotients(g, p, q_g, q_h) is expected

@@ -234,6 +234,17 @@ def test_generator_over_the_size_limits_is_refused(tmp_path):
         "message": "bad generator spec: 4498500 edges is over the limit of 4194304"}
 
 
+@pytest.mark.parametrize("params, message", [
+    (["kn", "100000"], "kn: 4999950000 edges is over the limit of 4194304"),
+    (["kab", "40000", "40000"], "kab: 1600000000 edges is over the limit of 4194304"),
+    (["pn", str(10**9)], f"pn: {10**9} vertices is over the limit of {MAX_VERTICES}"),
+    (["rk2", "600000000"], f"rk2: 1200000000 vertices is over the limit of {MAX_VERTICES}"),
+], ids=["kn", "kab", "pn", "rk2"])
+def test_gen_named_over_the_size_limits_is_refused(params, message):
+    """gen named refuses a family too large to build before it builds it."""
+    assert _run_limited("gen", "named", *params) == {"error": "BadParams", "message": message}
+
+
 def test_cells_reports_non_tree_component(tmp_path, capsys):
     from .test_cells import _star_cycle_graph
 

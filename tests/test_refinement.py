@@ -88,7 +88,6 @@ def test_cr_blind_spot_c6_vs_2c3():
 def test_cr_distinguishes_k3_p3():
     verdict = cr_iso_test(named("kn", 3), named("pn", 3))
     assert verdict.outcome is CrOutcome.DISTINGUISHED
-    assert verdict.witness_cell is not None
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from graphsym import CrOutcome, cr_iso_test, from_edge_list, refine, relabel, stable_partition
+from graphsym.generators import named
 from graphsym.graph import Graph, disjoint_union
 from graphsym.refinement import _refine_colors
 
@@ -74,13 +75,24 @@ def test_refine_matches_round_based_reference(name, build, k):
 
 
 def with_one_edge_moved(rng: random.Random, g: Graph) -> Graph:
-    """g less one edge plus one non-edge, with the same number of edges."""
+    """g less one edge plus one non-edge, with the same number of edges;
+    ValueError if g has no edge or no non-edge."""
+    if g.m in (0, g.n * (g.n - 1) // 2):
+        raise ValueError(f"no edge of a graph with {g.n} vertices and {g.m} edges can move")
     edges = list(g.edges())
     edges.pop(rng.randrange(len(edges)))
     while True:
         u, v = rng.sample(range(g.n), 2)
         if not g.has_edge(u, v):  # so not the edge just removed either
             return from_edge_list(g.n, edges + [(u, v)])
+
+
+@pytest.mark.parametrize("g", [named("kn", 3), from_edge_list(3, [])], ids=["k3", "empty"])
+def test_with_one_edge_moved_refuses_a_graph_with_nothing_to_move(g):
+    """A complete or edgeless graph has no edge to move: refused at once,
+    not a search without end for a non-edge."""
+    with pytest.raises(ValueError, match="can move"):
+        with_one_edge_moved(random.Random(0), g)
 
 
 @pytest.mark.parametrize("name, build", [CASES[0][:2], CASES[2][:2]], ids=["tree", "gnm"])
