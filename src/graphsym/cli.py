@@ -1,9 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 parse/IO or usage errors, including BadSpec for a
-malformed ``gen spec`` file; 2 NotAmenable or TooLarge; 3 InternalError, a
-bug in graphsym reported in place of a traceback.  With --json every result
-and error is a single JSON object on stdout.
+malformed ``gen spec`` file and a closed stdin, or a closed or failing
+stdout (then with one ``error:`` line on stderr, even under --json); 2
+NotAmenable or TooLarge; 3 InternalError, a bug in graphsym reported in
+place of a traceback.  With --json every result and error is a single JSON
+object on stdout.
+
+``main`` is the ``graphsym`` script and ``python -m graphsym.cli``.  It
+switches the cyclic collector off for the one command it runs (nothing
+graphsym builds holds a cycle), flushes stdout and stderr, and leaves with
+``os._exit``: the interpreter is not torn down, so no ``atexit`` handler
+runs.  ``run`` is the entry for library callers and tests; it leaves the
+collector as it found it and returns the exit code.
 
 Each command imports the modules it runs when it runs, so an answer does
 not pay for loading the symmetry, oracle or generator code it never uses.
@@ -19,6 +28,8 @@ process, so every answer, error and exit code is the one without a child.
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
 import marshal
 import os
@@ -46,12 +57,21 @@ EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
 FORK_MIN_BYTES = 16 << 10
 
 
+def _std(name: str):
+    """sys.stdin or sys.stdout; OSError if the process was started with it
+    closed, when Python sets it to None."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
+
+
 def _read_text(path: str, fmt: str) -> str:
     """The text of path, or of stdin for "-".  Input that is not UTF-8
     raises the error of fmt: "graph6", "edgelist" or "spec"."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return _std("stdin").read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -75,23 +95,26 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
 
 def _emit(args, payload: dict, human: str | None = None) -> None:
     """Print payload as one JSON line under --json, else the human text.
-    No human text stands for the payload indented, built only when printed."""
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    elif human is None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+    No human text stands for the payload indented, built only when printed.
+    It is flushed here, so that a failing stdout raises inside the command."""
+    if args.json or human is None:
+        human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True)
+    print(human, file=_std("stdout"), flush=True)
 
 
 def _fail(args, exc: Exception, code: int) -> int:
-    payload: dict = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NotAmenable):
-        payload["verdict"] = exc.verdict.to_json()
+    """Report exc and return code.  If stdout fails while it takes the JSON
+    report, the failure is reported on stderr instead, with code 1."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"error: {exc}", file=sys.stderr)
+        payload: dict = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NotAmenable):
+            payload["verdict"] = exc.verdict.to_json()
+        try:
+            print(json.dumps(payload, sort_keys=True), file=_std("stdout"), flush=True)
+            return code
+        except OSError as write_error:
+            exc, code = write_error, EXIT_IO
+    print(f"error: {exc}", file=sys.stderr)
     return code
 
 
@@ -254,7 +277,7 @@ def _cmd_oracle(args) -> int:
 def _write_graph(args, g: Graph) -> None:
     text = encode_graph6(g) + "\n" if args.format == "graph6" else format_edge_list(g)
     if args.out == "-":
-        sys.stdout.write(text)
+        print(text, end="", file=_std("stdout"), flush=True)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -377,7 +400,24 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command of sys.argv and leave with os._exit: see the module
+    docstring."""
+    gc.disable()
+    try:
+        code = run()
+    except SystemExit as exc:  # --help: argparse printed it and exits 0
+        code = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()  # only --help left output unflushed
+    except OSError as exc:
+        if code == EXIT_OK:  # otherwise _fail has reported on stderr
+            code = _fail(argparse.Namespace(json=False), exc, EXIT_IO)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 if __name__ == "__main__":

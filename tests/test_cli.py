@@ -699,3 +699,104 @@ def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, tw
             (line,) = capsys.readouterr().out.splitlines()
             assert code in (0, 1, 2) and isinstance(json.loads(line), dict), argv
     _no_child_left()
+
+
+# ------------------------------------------------------- main() as a process
+
+
+def _main(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m graphsym.cli argv`` with stdout block-buffered, as it is
+    into a file or pipe, so that output main() leaves unflushed is lost."""
+    src = os.path.dirname(os.path.dirname(graphsym.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "graphsym.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def main_inputs(tmp_path_factory, big_files):
+    d = tmp_path_factory.mktemp("main")
+    return {**big_files,
+            "fig1": _write(d / "fig1.txt", format_edge_list(named("figure1"))),
+            "c6": _write(d / "c6.txt", format_edge_list(named("cn", 6))),
+            "path": _write(d / "path.txt", format_edge_list(named("pn", 20000))),
+            "bad": _write(d / "bad.txt", "3 1\n0 x\n")}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["refine", "path"], 0),
+    (["amenable", "fig1"], 0),
+    (["dist", "c6"], 2),
+    (["amenable", "bad"], 1),
+    (["dist"], 1),
+    (["--help"], 0),
+    (["iso", "g", "copy"], 0),
+], ids=["refine_64k", "amenable", "not_amenable", "bad_edge_list", "usage", "help", "iso_fork"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_main_prints_what_run_prints(main_inputs, capsys, argv, code, flags):
+    argv = [*flags, *(main_inputs.get(a, a) for a in argv)]
+    if "--help" in argv:
+        with pytest.raises(SystemExit) as exc_info:
+            run(argv)
+        assert exc_info.value.code == code
+    else:
+        assert run(argv) == code
+    out = capsys.readouterr().out.encode()
+    if "refine" in argv:
+        assert len(out) > 64 << 10
+    done = _main(*argv)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert b"Traceback" not in done.stderr
+
+
+# Without a stdout, argparse prints --help on stderr.
+@pytest.mark.parametrize("argv, sink", [
+    (argv, sink) for argv in (["refine", "fig1"], ["gen", "named", "pn", "50000"], ["--help"])
+    for sink in ("closed_pipe", "dev_full", "no_fd") if argv != ["--help"] or sink != "no_fd"
+], ids=lambda v: {"refine": "small", "gen": "large", "--help": "help"}.get(v[0], v))
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_a_closed_or_failing_stdout_exits_1(main_inputs, sink, argv, flags):
+    """Into a pipe nobody reads, a full device or no stdout at all, a command
+    exits 1 with one error line on stderr, whatever its output."""
+    argv = [*flags, *(main_inputs.get(a, a) for a in argv)]
+    if sink == "closed_pipe":
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = _main(*argv, stdout=w)
+        finally:
+            os.close(w)
+    elif sink == "dev_full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            done = _main(*argv, stdout=full)
+    else:
+        done = _main(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    assert done.returncode == 1
+    (line,) = done.stderr.decode().splitlines()
+    assert line.startswith("error: [Errno "), line
+
+
+def test_a_closed_stdin_is_an_io_error():
+    done = _main("--json", "amenable", "-", preexec_fn=lambda: os.close(0))
+    assert done.returncode == 1 and done.stderr == b""
+    (line,) = done.stdout.decode().splitlines()
+    assert json.loads(line) == {"error": "OSError", "message": "[Errno 9] stdin is closed"}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(fig1_file, capsys, enabled):
+    import gc
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(["amenable", fig1_file]) == 0
+        assert run(["--json", "dist", "/nonexistent/graph.txt"]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
