@@ -14,14 +14,8 @@ _EXPORTS = {
         "CellGraph", "CellKind", "Component", "PairKind", "anisotropic_components",
         "build_cell_graph",
     ),
-    "graph": (
-        "Graph", "complement", "disjoint_union", "from_edge_list",
-        "induced_subgraph", "relabel",
-    ),
-    "formats": (
-        "ParseReport", "decode_graph6", "encode_graph6", "format_edge_list",
-        "parse_edge_list",
-    ),
+    "graph": ("Graph", "from_edge_list", "relabel"),
+    "formats": ("decode_graph6", "encode_graph6", "format_edge_list", "parse_edge_list"),
     "refinement": (
         "CrOutcome", "CrVerdict", "Partition", "cr_iso_test", "is_equitable",
         "refine", "stable_partition",

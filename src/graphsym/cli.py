@@ -89,8 +89,7 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     text = _read_text(path, fmt)
     if fmt == "graph6":
         return decode_graph6(text)
-    g, _report = parse_edge_list(text)
-    return g
+    return parse_edge_list(text)[0]
 
 
 def _emit(args, payload: dict, human: str | None = None) -> None:
@@ -297,7 +296,7 @@ def _cmd_gen(args) -> int:
     from . import generators
 
     if args.source == "named":
-        g = generators.named(args.family, *[int(p) for p in args.params])
+        g = generators.named(args.family, *args.params)
     elif args.source == "random":
         g, _partition = generators.random_amenable(args.n, seed=args.seed)
     else:  # spec
@@ -312,6 +311,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(self.prog, message, self.format_usage())
+
+
+def _at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,16 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["aut", "dist", "fix", "count"])
     p.add_argument("graph")
     p.add_argument("--format", choices=["edgelist", "graph6"])
-    p.add_argument("--max-oracle-n", type=int,
+    p.add_argument("--max-oracle-n", type=_at_least(0),
                    help="size guard for exhaustive search")
-    p.add_argument("-c", "--colors", type=int, default=2, help="colors for count")
+    p.add_argument("-c", "--colors", type=_at_least(1), default=2, help="colors for count")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen", help="emit an instance")
     gen_sub = p.add_subparsers(dest="source", required=True)
     p_named = gen_sub.add_parser("named", help="kn, pn, cn, kab, rk2, figure1, jellyfish_fig3")
     p_named.add_argument("family")
-    p_named.add_argument("params", nargs="*")
+    p_named.add_argument("params", nargs="*", type=int)
     p_random = gen_sub.add_parser("random", help="random validated amenable graph")
     p_random.add_argument("--n", type=int, required=True)
     p_spec = gen_sub.add_parser("spec", help="from a JSON component spec")

@@ -13,8 +13,6 @@ GRAPH6_MAX_BODY_BYTES of body, so n <= 14189.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import BadEdgeList, BadGraph6
 from .graph import Graph, from_edge_list
 
@@ -28,13 +26,9 @@ MAX_VERTICES = 1 << 20
 _SIX_BITS_TO_TEXT = bytes(range(63, 127)) + bytes(192)  # value v -> byte v + 63
 
 
-class ParseReport(NamedTuple):
-    """What the edge-list parser had to clean up."""
-
-    duplicate_edges: int
-
-
-def parse_edge_list(text: str) -> tuple[Graph, ParseReport]:
+def parse_edge_list(text: str) -> tuple[Graph, int]:
+    """The graph of an edge-list text and how many of its edges were
+    duplicates (either orientation), which the graph holds once."""
     lines = text.splitlines()
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -67,7 +61,7 @@ def parse_edge_list(text: str) -> tuple[Graph, ParseReport]:
     if len(edges) != m:
         raise BadEdgeList(0, f"header says {m} edges, found {len(edges)}")
     g = from_edge_list(n, edges)  # deduplicates either orientation
-    return g, ParseReport(duplicate_edges=len(edges) - g.m)
+    return g, len(edges) - g.m
 
 
 def format_edge_list(g: Graph) -> str:

@@ -20,12 +20,6 @@ class Graph(NamedTuple):
     m: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adjacency[u]
         i = bisect_left(row, v)
@@ -63,41 +57,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
     m = sum(len(row) for row in adjacency) // 2
     return Graph(n=n, m=m, adjacency=adjacency)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``vertices`` plus the old->new index map.
-
-    New indices are assigned in increasing old-index order, so relative
-    order is preserved.
-    """
-    kept = sorted(set(vertices))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise OutOfRange(v, g.n)
-    old_to_new = {v: i for i, v in enumerate(kept)}
-    adjacency = tuple(
-        tuple(old_to_new[u] for u in g.adjacency[v] if u in old_to_new) for v in kept
-    )
-    m = sum(len(row) for row in adjacency) // 2
-    return Graph(n=len(kept), m=m, adjacency=adjacency), old_to_new
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of two graphs: g's vertices keep their ids, h's follow."""
-    shift = g.n
-    adjacency = g.adjacency + tuple(tuple(map(shift.__add__, row)) for row in h.adjacency)
-    return Graph(n=g.n + h.n, m=g.m + h.m, adjacency=adjacency)
-
-
-def complement(g: Graph) -> Graph:
-    """Complement graph: uv is an edge iff it is not one in g (u != v)."""
-    full = set(range(g.n))
-    adjacency = tuple(
-        tuple(sorted(full - set(row) - {v})) for v, row in enumerate(g.adjacency)
-    )
-    m = g.n * (g.n - 1) // 2 - g.m
-    return Graph(n=g.n, m=m, adjacency=adjacency)
 
 
 def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:

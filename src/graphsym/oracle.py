@@ -4,8 +4,10 @@ Everything here is exhaustive search with pruning that never changes the
 answer: automorphism enumeration by backtracking, distinguishing numbers by
 scanning colorings (canonical up to color renaming, with twin pairs forced
 apart), fixing numbers by subset enumeration with a twin prefilter, and the
-standalone rooted-tree recursions.  None of it shares code with the fast
-pipeline, so the two sides can check each other.
+standalone rooted-tree recursions; the jellyfish normal form of a component
+is read off edge counts.  It shares only the records (Graph, Partition,
+Component) with the fast pipeline, none of its refinement, cell graph or
+classification, so the two sides can check each other.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, islice, product
 from math import comb
 from typing import Sequence
 
-from .cells import CellKind, Component, PairKind, build_cell_graph
+from .cells import Component
 from .errors import InternalError, NotAmenableComponent, TooLarge
 from .graph import Graph, from_edge_list
 from .refinement import Partition
@@ -191,11 +193,6 @@ def _find_preserving(g: Graph, colors) -> tuple[int, ...] | None:
     """Some nontrivial automorphism preserving the given colors, or None."""
     identity = tuple(range(g.n))
     return next((perm for perm in _automorphisms_of(g, colors) if perm != identity), None)
-
-
-def is_rigid(g: Graph, p: Partition | None = None) -> bool:
-    colors = p.cell_of if p is not None else [0] * g.n
-    return _find_preserving(g, colors) is None
 
 
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
@@ -461,89 +458,48 @@ def tree_fix(t: RootedTree) -> int:
     return fix[t.root]
 
 
-# ------------------------------------------------------------------ forests
-
-
-def forest_dist(components: list[tuple[Graph, int]],
-                limit: int = SEARCH_LIMIT_DEFAULT) -> int:
-    """D of a disjoint union given one graph per isomorphism class.
-
-    Each class of r copies needs r inequivalent distinguishing labelings of
-    its graph; the answer is the least color count serving every class.
-    """
-    if not components:
-        return 0
-    hi = sum(g.n * r for g, r in components)
-    for c in range(1, hi + 1):
-        if all(dist_count_bf(g, c=c, limit=limit) >= r for g, r in components):
-            return c
-    raise InternalError("no color count served the forest; bug")
-
-
-def forest_fix(components: list[tuple[Graph, int]],
-               limit: int = SEARCH_LIMIT_DEFAULT) -> int:
-    """Fix of a disjoint union given one graph per isomorphism class.
-
-    Non-rigid classes pay Fix per copy; rigid classes pay copies - 1.
-    """
-    total = 0
-    for g, r in components:
-        f = fix_number_bf(g, limit=limit)
-        total += r * f if f > 0 else r - 1
-    return total
-
-
 # ------------------------------------------------- jellyfish materialization
 
 
 def materialize_jellyfish(g: Graph, p: Partition, comp: Component) -> Graph:
-    """Explicitly build the normalized component graph the fast path reasons about.
+    """The normalized component graph the fast path reasons about, built
+    explicitly on the component's vertices, renumbered in increasing order.
 
-    On the component's vertices (reindexed in increasing order): the root
-    cell is complemented when empty or a matching, every other cell is
-    emptied, complete joins are emptied, and co-star pairs are replaced by
-    their stars.  Cell-preserving automorphisms are unchanged by each step.
+    Each cell and cell pair is judged by how many of its vertex pairs are
+    edges of g, which over an equitable p decides its kind.  The root cell
+    is complemented when fewer than half are (empty or a matching); every
+    other cell is emptied.  A pair keeps its edges when some but at most
+    half are (stars), is complemented when more than half but not all are
+    (co-stars), and is emptied otherwise.  No step changes the
+    cell-preserving automorphisms.  Raises NotAmenableComponent for a cell
+    or pair of no amenable kind.
     """
-    cg = build_cell_graph(g, p)
     verts = sorted(v for cell in comp.cells for v in p.cells[cell])
     local = {v: i for i, v in enumerate(verts)}
     edges: list[tuple[int, int]] = []
 
+    def keep(pairs: list[tuple[int, int]], edge: bool) -> None:
+        edges.extend((local[u], local[v]) for u, v in pairs if g.has_edge(u, v) == edge)
+
     for cell in comp.cells:
-        members = p.cells[cell]
-        kind = cg.cell_kinds[cell]
+        pairs = list(combinations(p.cells[cell], 2))
+        s, full = len(p.cells[cell]), len(pairs)
+        e = sum(g.has_edge(u, v) for u, v in pairs)
+        kinds = (0, full)  # empty or complete: every cell but the root is emptied
+        if cell == comp.root:  # a matching or its complement, or the 5-cycle
+            kinds += (s // 2, full - s // 2) if s >= 4 and s % 2 == 0 else (5,) if s == 5 else ()
+        if e not in kinds:
+            raise NotAmenableComponent(f"cell {cell} has {e} of {full} pairs as edges")
         if cell == comp.root:
-            if kind in (CellKind.EMPTY, CellKind.MATCHING):
-                for u, v in combinations(members, 2):
-                    if not g.has_edge(u, v):
-                        edges.append((local[u], local[v]))
-            elif kind in (CellKind.COMPLETE, CellKind.CO_MATCHING, CellKind.FIVE_CYCLE):
-                for u, v in combinations(members, 2):
-                    if g.has_edge(u, v):
-                        edges.append((local[u], local[v]))
-            else:
-                raise NotAmenableComponent(f"root cell kind {kind.value}")
-        else:
-            if kind not in (CellKind.EMPTY, CellKind.COMPLETE):
-                raise NotAmenableComponent(
-                    f"non-root cell {cell} has kind {kind.value}"
-                )
-            # empty either way after the normalizing complement
+            keep(pairs, 2 * e >= full)
 
     for x, y in combinations(comp.cells, 2):
-        pc = cg.pair_class(x, y)
-        if pc.kind is PairKind.ANISO_STARS:
-            for u in p.cells[x]:
-                for v in p.cells[y]:
-                    if g.has_edge(u, v):
-                        edges.append((local[u], local[v]))
-        elif pc.kind is PairKind.ANISO_CO_STARS:
-            for u in p.cells[x]:
-                for v in p.cells[y]:
-                    if not g.has_edge(u, v):
-                        edges.append((local[u], local[v]))
-        elif pc.kind is PairKind.OTHER:
-            raise NotAmenableComponent(f"pair ({x}, {y}) is unclassified")
-        # isotropic pairs contribute nothing
+        pairs = list(product(p.cells[x], p.cells[y]))
+        small, large = sorted((len(p.cells[x]), len(p.cells[y])))
+        e = sum(g.has_edge(u, v) for u, v in pairs)
+        if e not in (0, len(pairs), large, large * (small - 1)):
+            raise NotAmenableComponent(f"pair ({x}, {y}) has {e} of {len(pairs)} pairs as edges")
+        if 0 < e < len(pairs):
+            keep(pairs, 2 * e <= len(pairs))
 
     return from_edge_list(len(verts), edges)

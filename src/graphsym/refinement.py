@@ -27,10 +27,6 @@ class Partition(NamedTuple):
     def n(self) -> int:
         return len(self.cell_of)
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.cells)
-
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Partition":
         """Group vertices by color value; colors need not be contiguous.
@@ -63,14 +59,6 @@ class Partition(NamedTuple):
             for v in cell:
                 colors[v] = i
         return cls.from_colors(colors)
-
-    @classmethod
-    def unit(cls, n: int) -> "Partition":
-        return cls.from_colors([0] * n)
-
-    @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls.from_colors(range(n))
 
     def to_json(self) -> dict:
         return {"cells": [list(c) for c in self.cells]}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphsym import Component, from_edge_list, generators
 from graphsym.formats import GRAPH6_MAX_BODY_BYTES
-from graphsym.graph import Graph, disjoint_union
+from graphsym.graph import Graph
 from graphsym.refinement import Partition
 
 from .naive_refinement import refine_rounds
@@ -139,12 +140,23 @@ def validate_graph(g: Graph) -> None:
     assert total == 2 * g.m, f"degree sum {total} != 2m = {2 * g.m}"
 
 
-def restrict(p: Partition, vertices, old_to_new: dict[int, int]) -> Partition:
-    """Partition p induced on a vertex subset, relabeled via old_to_new."""
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(p.cell_of[v], []).append(old_to_new[v])
-    return Partition.from_cells(list(groups.values()), len(vertices))
+def induced(g: Graph, p: Partition, vertices) -> tuple[Graph, Partition]:
+    """The subgraph of g induced on ``vertices``, renumbered in increasing
+    order, and p restricted to it."""
+    kept = sorted(vertices)
+    new = {v: i for i, v in enumerate(kept)}
+    edges = [(new[u], new[v]) for u in kept for v in g.adjacency[u] if v in new]
+    return from_edge_list(len(kept), edges), Partition.from_colors([p.cell_of[v] for v in kept])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g's vertices keep their ids, h's follow."""
+    shifted = tuple(tuple(u + g.n for u in row) for row in h.adjacency)
+    return Graph(n=g.n + h.n, m=g.m + h.m, adjacency=g.adjacency + shifted)
+
+
+def complement(g: Graph) -> Graph:
+    return from_edge_list(g.n, [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)])
 
 
 def refines(p: Partition, other: Partition) -> bool:

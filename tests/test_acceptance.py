@@ -18,11 +18,9 @@ from graphsym import (
     analyze,
     check_amenable,
     cr_iso_test,
-    disjoint_union,
     dist_number,
     fix_number,
     from_edge_list,
-    induced_subgraph,
     leg_dist_count,
     leg_fix,
     min_c_binom,
@@ -34,7 +32,7 @@ from graphsym.amenability import Condition
 from graphsym.errors import NotAmenable
 from graphsym.generators import named, random_amenable
 
-from .conftest import cell_tree, restrict
+from .conftest import cell_tree, disjoint_union, induced
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 CORPUS_SIZE = 500
@@ -161,8 +159,7 @@ def test_criterion_6_structural_invariants(corpus):
         product = 1
         for comp in verdict.components:
             verts = sorted(v for c in comp.cells for v in p.cells[c])
-            sub, old_to_new = induced_subgraph(g, verts)
-            local = restrict(p, verts, old_to_new)
+            sub, local = induced(g, p, verts)
             gi = oracle.automorphisms(sub, local, limit_n=12)
             ji_graph = oracle.materialize_jellyfish(g, p, comp)
             ji = oracle.automorphisms(ji_graph, local, limit_n=12)

@@ -9,7 +9,6 @@ from graphsym import (
     amenable_iso,
     build_cell_graph,
     check_amenable,
-    disjoint_union,
     from_edge_list,
     oracle,
     relabel,
@@ -18,7 +17,7 @@ from graphsym import (
 from graphsym.amenability import Condition
 from graphsym.generators import named, random_amenable
 
-from .conftest import graphs, trees
+from .conftest import disjoint_union, graphs, trees
 
 
 def test_figure1_amenable(figure1):

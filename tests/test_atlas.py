@@ -66,7 +66,7 @@ def test_degree_start_gives_the_unit_start_partition(atlas):
     draws = [random_amenable(n, seed=seed)[0] for seed in range(40) for n in (10, 50, 200)]
     for g in [g for g, _ok, _verdict in rows] + draws:
         p = stable_partition(g)
-        assert p == refine(g, Partition.unit(g.n)), g
+        assert p == refine(g, Partition.from_colors([0] * g.n)), g
         assert p.cell_of == refine_rounds(g.adjacency, [0] * g.n), g
         q_p, q = _quotient(g)
         assert q_p == p and [size for size, _row in q.values()] == list(map(len, p.cells)), g

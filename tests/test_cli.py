@@ -19,7 +19,7 @@ from graphsym.formats import MAX_VERTICES, encode_graph6, format_edge_list, pars
 from graphsym.generators import named, random_amenable
 from graphsym.refinement import _quotient
 
-from .conftest import smallest_n_over_graph6_bound
+from .conftest import disjoint_union, smallest_n_over_graph6_bound
 from .test_refinement_scale import gnm, with_one_edge_moved
 
 
@@ -97,8 +97,6 @@ def test_not_amenable_exit_code(c6_file, capsys):
 def test_iso_heuristic_equivalent(tmp_path, capsys):
     c6 = tmp_path / "c6.txt"
     c6.write_text(format_edge_list(named("cn", 6)))
-    from graphsym import disjoint_union
-
     two_c3 = disjoint_union(named("cn", 3), named("cn", 3))
     other = tmp_path / "2c3.txt"
     other.write_text(format_edge_list(two_c3))
@@ -377,6 +375,27 @@ def test_unknown_command_is_a_usage_error(capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "UsageError"
         assert f"invalid choice: '{command}'" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "named", "kn", "abc"], "invalid int value: 'abc'"),
+    (["gen", "named", "kn", "1e3"], "invalid int value: '1e3'"),
+    (["oracle", "count", "C6", "-c", "-1"], "--colors: must be at least 1, got -1"),
+    (["oracle", "count", "C6", "--colors", "0"], "--colors: must be at least 1, got 0"),
+    (["oracle", "aut", "C6", "--max-oracle-n", "-1"], "--max-oracle-n: must be at least 0, got -1"),
+])
+def test_a_bad_number_is_a_usage_error(c6_file, capsys, argv, message):
+    assert run(["--json", *[c6_file if a == "C6" else a for a in argv]]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "UsageError"
+    assert message in payload["message"]
+
+
+def test_the_least_oracle_numbers_are_accepted(c6_file, capsys):
+    assert run(["--json", "oracle", "count", c6_file, "-c", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"colors": 1, "dist_count": 0}
+    assert run(["--json", "oracle", "aut", c6_file, "--max-oracle-n", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
 
 
 def test_help_exits_0(capsys):

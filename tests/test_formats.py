@@ -94,16 +94,14 @@ def test_nonzero_padding_rejected():
 
 def test_edge_list_roundtrip(figure1):
     text = format_edge_list(figure1)
-    g, report = parse_edge_list(text)
-    assert g == figure1
-    assert report.duplicate_edges == 0
+    assert parse_edge_list(text) == (figure1, 0)
 
 
 def test_edge_list_comments_and_duplicates():
     text = "# triangle\n3 3\n0 1\n1 2\n# again\n1 0\n"
-    g, report = parse_edge_list(text)
+    g, duplicate_edges = parse_edge_list(text)
     assert g.m == 2
-    assert report.duplicate_edges == 1
+    assert duplicate_edges == 1
 
 
 def test_edge_list_errors():

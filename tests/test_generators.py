@@ -100,9 +100,9 @@ def test_generate_walks_a_deep_tree_without_recursion():
 
 def test_validate_spec_rejects_merged_cells():
     g = from_edge_list(2, [])
-    intended = Partition.discrete(2)
+    intended = Partition.from_colors(range(2))
     assert not validate_spec(g, intended)  # refinement merges identical isolated vertices
-    assert validate_spec(named("kn", 4), Partition.unit(4))
+    assert validate_spec(named("kn", 4), Partition.from_colors([0] * 4))
 
 
 def _with_join(join) -> dict:
@@ -173,7 +173,7 @@ def test_implied_size_is_what_generate_builds():
 def test_named_families():
     assert named("rk2", 3).n == 6 and named("rk2", 3).m == 3
     assert named("kab", 2, 3).m == 6
-    assert stable_partition(named("figure1")).num_cells == 4
+    assert len(stable_partition(named("figure1")).cells) == 4
     report = analyze(named("jellyfish_fig3"))
     assert (report.dist_number, report.fix_number) == (2, 5)
     with pytest.raises(BadParams):

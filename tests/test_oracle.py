@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsym import check_amenable, from_edge_list, induced_subgraph, stable_partition
-from graphsym.errors import TooLarge
+from graphsym import Component, Partition, check_amenable, from_edge_list, stable_partition
+from graphsym.errors import NotAmenableComponent, TooLarge
 from graphsym.generators import named
 from graphsym.oracle import (
     RootedTree,
@@ -16,16 +16,13 @@ from graphsym.oracle import (
     dist_number_bf,
     find_isomorphism,
     fix_number_bf,
-    forest_dist,
-    forest_fix,
-    is_rigid,
     materialize_jellyfish,
     rooted_tree_graph,
     tree_dist_count,
     tree_fix,
 )
 
-from .conftest import graphs, restrict, trees
+from .conftest import complement, graphs, induced, trees
 
 # path plus a pendant whose three branches all differ, so nothing can move
 RIGID_TREE = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
@@ -50,8 +47,7 @@ def test_figure1_group_and_product_law(figure1):
     orders = []
     for comp in check_amenable(figure1).components:
         verts = sorted(v for c in comp.cells for v in p.cells[c])
-        sub, o2n = induced_subgraph(figure1, verts)
-        orders.append(automorphisms(sub, restrict(p, verts, o2n)).order)
+        orders.append(automorphisms(*induced(figure1, p, verts)).order)
     assert orders == [1, 8, 8]
     assert orders[0] * orders[1] * orders[2] == group.order
 
@@ -112,7 +108,7 @@ def test_dist_count_bf_reports_a_remainder_as_a_bug(monkeypatch):
 def test_fix_number_bf_examples():
     assert fix_number_bf(named("kab", 3, 3)) == 4
     assert fix_number_bf(named("cn", 5)) == 2
-    assert is_rigid(RIGID_TREE)
+    assert automorphisms(RIGID_TREE).order == 1
     assert fix_number_bf(RIGID_TREE) == 0
 
 
@@ -165,7 +161,7 @@ def test_tree_count_matches_graph_oracle(t, c):
     seen = {0}
     while order:
         v = order.pop()
-        for u in t.neighbors(v):
+        for u in t.adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 parents[u] = v
@@ -176,14 +172,6 @@ def test_tree_count_matches_graph_oracle(t, c):
     assert count == dist_count_bf(g, p, c=c)
     assert (count > 0) == (dist_number_bf(g, p) <= c)
     assert tree_fix(rt) == fix_number_bf(g, p)
-
-
-def test_forest_examples():
-    assert forest_dist([(named("kn", 2), 2)]) == 3
-    assert forest_fix([(named("kn", 2), 2)]) == 2
-    assert forest_fix([(RIGID_TREE, 3)]) == 2  # all but one rigid copy marked
-    assert forest_dist([(named("cn", 5), 1)]) == dist_number_bf(named("cn", 5))
-    assert forest_fix([(named("cn", 5), 1)]) == fix_number_bf(named("cn", 5))
 
 
 def test_materialize_figure1_star_component(figure1):
@@ -211,13 +199,28 @@ def test_materialize_jellyfish_idempotent_on_normal_form():
     assert j == g  # already normalized: head 5-cycle, stars, empty cells
 
 
+def _component(cells: tuple[int, ...], root: int = 0) -> Component:
+    """The cells as a component whose other cells all hang from the root."""
+    rest = tuple(c for c in cells if c != root)
+    return Component(cells=cells, root=root, order=(root, *rest),
+                     parent=dict.fromkeys(rest, root), multiplicity=dict.fromkeys(rest, 1))
+
+
+@pytest.mark.parametrize("g, colors, comp", [
+    # a 6-cycle: its one cell, the root, is 2-regular on six vertices
+    (named("cn", 6), [0] * 6, _component((0,))),
+    # a 6-cycle beside six isolated vertices, which are the root: the
+    # other cell is neither empty nor complete
+    (from_edge_list(12, named("cn", 6).edges()), [0] * 6 + [1] * 6, _component((0, 1), root=1)),
+    # the 8-cycle's two colour classes: 8 of 16 vertex pairs are edges,
+    # neither stars (4) nor co-stars (12)
+    (named("cn", 8), [0, 1] * 4, _component((0, 1))),
+])
+def test_materialize_refuses_what_no_amenable_kind_is(g, colors, comp):
+    with pytest.raises(NotAmenableComponent):
+        materialize_jellyfish(g, Partition.from_colors(colors), comp)
+
+
 def test_find_isomorphism():
     assert find_isomorphism(named("kn", 3), named("pn", 3)) is None
-    perm = find_isomorphism(named("cn", 4), complemented_2k2())
-    assert perm is not None
-
-
-def complemented_2k2():
-    from graphsym import complement
-
-    return complement(named("rk2", 2))
+    assert find_isomorphism(named("cn", 4), complement(named("rk2", 2))) is not None

@@ -16,13 +16,13 @@ import random
 import networkx as nx
 import pytest
 
-from graphsym import check_amenable, complement, disjoint_union, from_edge_list
+from graphsym import check_amenable, from_edge_list
 from graphsym.cells import anisotropic_components, cell_graph_of_equitable
 from graphsym.generators import random_amenable
 from graphsym.refinement import stable_partition
 from graphsym.symmetry import analyze
 
-from .conftest import near_discrete
+from .conftest import complement, disjoint_union, near_discrete
 
 
 def _answers(g) -> str:

@@ -11,7 +11,6 @@ from graphsym import (
     Partition,
     build_cell_graph,
     cr_iso_test,
-    disjoint_union,
     is_equitable,
     oracle,
     refine,
@@ -22,7 +21,7 @@ from graphsym.errors import InvalidPartition, NotEquitable
 from graphsym.generators import named
 from graphsym.refinement import first_deviation
 
-from .conftest import graphs, refines, set_partitions
+from .conftest import disjoint_union, graphs, refines, set_partitions
 
 
 def as_sets(p: Partition) -> set[frozenset[int]]:
@@ -41,7 +40,7 @@ def test_figure1_stable_partition(figure1):
 
 def test_c5_stays_one_cell():
     p = stable_partition(named("cn", 5))
-    assert p.num_cells == 1
+    assert len(p.cells) == 1
 
 
 def test_p3_splits_by_degree():
@@ -63,8 +62,8 @@ def test_invalid_partition_rejected():
 
 
 def test_is_equitable_examples(figure1):
-    assert is_equitable(named("cn", 6), Partition.unit(6))
-    assert not is_equitable(named("pn", 3), Partition.unit(3))
+    assert is_equitable(named("cn", 6), Partition.from_colors([0] * 6))
+    assert not is_equitable(named("pn", 3), Partition.from_colors([0] * 3))
     assert is_equitable(figure1, stable_partition(figure1))
 
 

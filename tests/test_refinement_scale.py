@@ -10,10 +10,10 @@ import pytest
 
 from graphsym import CrOutcome, cr_iso_test, from_edge_list, refine, relabel, stable_partition
 from graphsym.generators import named
-from graphsym.graph import Graph, disjoint_union
+from graphsym.graph import Graph
 from graphsym.refinement import _refine_colors
 
-from .conftest import union_cr_equivalent
+from .conftest import disjoint_union, union_cr_equivalent
 from .naive_refinement import refine_rounds
 
 

@@ -18,7 +18,6 @@ from graphsym import (
     anisotropic_components,
     build_cell_graph,
     check_amenable,
-    disjoint_union,
     from_edge_list,
     stable_partition,
 )
@@ -26,7 +25,7 @@ from graphsym import cells as cells_module
 from graphsym.cli import run
 from graphsym.generators import named
 
-from .conftest import graphs, near_discrete
+from .conftest import disjoint_union, graphs, near_discrete
 
 NEAR_DISCRETE = near_discrete()
 

@@ -15,7 +15,6 @@ from graphsym import (
     Partition,
     analyze,
     check_amenable,
-    complement,
     component_report,
     dist_number,
     fix_number,
@@ -31,7 +30,7 @@ from graphsym import symmetry
 from graphsym.errors import BadCap, InternalError, NotAmenable
 from graphsym.generators import generate, named, random_amenable
 
-from .conftest import BRANCHED_SPEC, cell_tree, graphs
+from .conftest import BRANCHED_SPEC, cell_tree, complement, graphs
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 
@@ -321,7 +320,7 @@ def test_leg_recursions_ignore_the_walk_order():
         sizes, comp = cell_tree(nest)
         n = sum(sizes)
         cg = CellGraph(
-            graph=from_edge_list(n, []), partition=Partition.unit(n), cell_sizes=sizes,
+            graph=from_edge_list(n, []), partition=Partition.from_colors([0] * n), cell_sizes=sizes,
             nonsingleton=tuple(range(len(sizes))), d={},
             cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (len(sizes) - 1),
             pair_classes={},
@@ -353,7 +352,7 @@ def test_shape_key_of_a_deep_path_is_flat():
         multiplicity={x: 1 for x in range(1, n)},
     )
     cg = CellGraph(
-        graph=from_edge_list(2 * n, []), partition=Partition.unit(2 * n),
+        graph=from_edge_list(2 * n, []), partition=Partition.from_colors([0] * (2 * n)),
         cell_sizes=(2,) * n, nonsingleton=tuple(range(n)), d={},
         cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_classes={},
     )
