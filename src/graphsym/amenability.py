@@ -5,9 +5,9 @@ against every other graph.  The recognizer checks, over the stable
 partition: (A) every cell induces an empty, complete, matching, co-matching
 or 5-cycle graph; (B) every cell pair induces an empty, complete, star or
 co-star bipartite graph with star centers on the smaller cell; (C) every
-anisotropic component is a tree with non-decreasing, divisible sizes away
-from a minimum-size root; (D) each component has at most one heterogeneous
-cell and that cell attains the minimum size.
+anisotropic component is a tree with non-decreasing sizes away from a
+minimum-size root (the pair kinds make each size divide the next); (D)
+each component has at most one heterogeneous cell, of minimum size.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
     if CellKind.OTHER in cg.cell_kinds:
         return AmenabilityVerdict(amenable=False, failure=Failure(
             condition=Condition.A, cell=cg.cell_kinds.index(CellKind.OTHER)))
-    bad_pairs = [key for key, pc in cg.pair_classes.items() if pc.kind is PairKind.OTHER]
+    bad_pairs = [key for key, kind in cg.pair_kinds.items() if kind is PairKind.OTHER]
     if bad_pairs:
         return AmenabilityVerdict(amenable=False, failure=Failure(
             condition=Condition.B, pair=min(bad_pairs)))

@@ -37,22 +37,13 @@ class PairKind(Enum):
     OTHER = "other"
 
 
-class PairClass(NamedTuple):
-    """Classification of one unordered cell pair; center_cell is set for star kinds."""
-
-    kind: PairKind
-    center_cell: int | None = None
-
-
-# Only star pairs carry data, so every other pair shares one instance.
-_ISO_EMPTY = PairClass(kind=PairKind.ISO_EMPTY)
-_ISO_COMPLETE = PairClass(kind=PairKind.ISO_COMPLETE)
-_OTHER_PAIR = PairClass(kind=PairKind.OTHER)
-
-
+# identity tests: hashing an Enum member runs Python code
 def _heterogeneous(kind: CellKind) -> bool:
-    # identity tests: hashing an Enum member runs Python code
     return kind is not CellKind.EMPTY and kind is not CellKind.COMPLETE
+
+
+def _anisotropic(kind: PairKind) -> bool:
+    return kind is PairKind.ANISO_STARS or kind is PairKind.ANISO_CO_STARS
 
 
 class CellGraph(NamedTuple):
@@ -60,7 +51,7 @@ class CellGraph(NamedTuple):
 
     Singleton cells are kept in bulk: ``d`` holds the rows of the
     ``nonsingleton`` cells only (d[i, i] and each d[i, j] > 0; a missing key
-    means 0) and ``pair_classes`` the pairs of two such cells with an edge.
+    means 0) and ``pair_kinds`` the pairs of two such cells with an edge.
     The methods answer for singleton cells, all EMPTY, from the graph.
     """
 
@@ -70,11 +61,7 @@ class CellGraph(NamedTuple):
     nonsingleton: tuple[int, ...]  # ids of the cells of two or more vertices, ascending
     d: dict[tuple[int, int], int]
     cell_kinds: tuple[CellKind, ...]
-    pair_classes: dict[tuple[int, int], PairClass]
-
-    @property
-    def num_cells(self) -> int:
-        return len(self.cell_sizes)
+    pair_kinds: dict[tuple[int, int], PairKind]
 
     def degree_constant(self, i: int, j: int) -> int:
         sizes, cells = self.cell_sizes, self.partition.cells
@@ -84,9 +71,15 @@ class CellGraph(NamedTuple):
             return sizes[j] * self.d.get((j, i), 0)
         return int(self.graph.has_edge(cells[i][0], cells[j][0]))
 
-    def pair_class(self, i: int, j: int) -> PairClass:
-        pc = self.pair_classes.get((i, j) if i < j else (j, i))  # two nonsingleton cells
-        return pc or (_ISO_COMPLETE if i != j and self.degree_constant(i, j) else _ISO_EMPTY)
+    def pair_kind(self, i: int, j: int) -> PairKind:
+        kind = self.pair_kinds.get((i, j) if i < j else (j, i))  # two nonsingleton cells
+        return kind or (
+            PairKind.ISO_COMPLETE if i != j and self.degree_constant(i, j) else PairKind.ISO_EMPTY)
+
+    def center_cell(self, i: int, j: int) -> int:
+        """The cell of pair i, j that holds the star centers when the pair is
+        anisotropic: the smaller cell, the lower id on ties."""
+        return min((self.cell_sizes[i], i), (self.cell_sizes[j], j))[1]
 
     def to_json(self) -> dict:
         cell_of = self.partition.cell_of
@@ -96,13 +89,13 @@ class CellGraph(NamedTuple):
             "cells": [
                 {"id": i, "size": self.cell_sizes[i], "kind": self.cell_kinds[i].value,
                  "vertices": list(self.partition.cells[i])}
-                for i in range(self.num_cells)
+                for i in range(len(self.cell_sizes))
             ],
             "pairs": [
                 {"i": i, "j": j, "d_ij": self.degree_constant(i, j),
-                 "d_ji": self.degree_constant(j, i), "kind": pc.kind.value,
-                 **({"centers": pc.center_cell} if pc.center_cell is not None else {})}
-                for i, j in sorted(pairs) for pc in (self.pair_class(i, j),)
+                 "d_ji": self.degree_constant(j, i), "kind": kind.value,
+                 **({"centers": self.center_cell(i, j)} if _anisotropic(kind) else {})}
+                for i, j in sorted(pairs) for kind in (self.pair_kind(i, j),)
             ],
         }
 
@@ -115,8 +108,10 @@ class Component(NamedTuple):
     it attains the minimum, with the lowest cell id breaking remaining ties.
     order is the breadth-first walk from the root (the root first, every
     cell after its parent), and parent and multiplicity come from it; all
-    three are empty when the component is not a tree.  bad_edges are the
-    walk's tree edges along which cell sizes decrease or do not divide.
+    three are empty when the component is not a tree.  decreasing are the
+    walk's tree edges along which cell sizes decrease; along the others the
+    parent's size divides the child's, by double counting: |large| d[large,
+    small] = |small| d[small, large], with d[large, small] = 1 or |small| - 1.
     """
 
     cells: tuple[int, ...]
@@ -125,28 +120,19 @@ class Component(NamedTuple):
     parent: dict[int, int]
     multiplicity: dict[int, int]  # child cell id -> |child| / |parent|
     het_cells: tuple[int, ...] = ()
-    bad_edges: tuple[tuple[str, int, int], ...] = ()  # (reason, parent, child)
+    decreasing: tuple[tuple[int, int], ...] = ()  # (parent, child)
 
     @property
     def is_tree(self) -> bool:
         return bool(self.order)
-
-    @property
-    def heterogeneous(self) -> bool:
-        return bool(self.het_cells)
 
     def findings(self) -> list[tuple[str, str, tuple[int, ...]]]:
         """(condition, reason, cells involved) for each violation of C, then D."""
         out: list[tuple[str, str, tuple[int, ...]]] = []
         if not self.is_tree:
             out.append(("C", "not a tree", self.cells))
-        for reason, parent, child in self.bad_edges:
-            text = (
-                f"cell sizes decrease along {parent} -> {child}"
-                if reason == "monotone"
-                else f"size of cell {parent} does not divide size of cell {child}"
-            )
-            out.append(("C", text, (parent, child)))
+        for parent, child in self.decreasing:
+            out.append(("C", f"cell sizes decrease along {parent} -> {child}", (parent, child)))
         if len(self.het_cells) > 1:
             out.append(("D", "more than one heterogeneous cell", self.het_cells))
         elif self.het_cells and self.het_cells[0] != self.root:
@@ -159,7 +145,7 @@ class Component(NamedTuple):
             "root": self.root,
             "parents": {str(c): p for c, p in sorted(self.parent.items())},
             "multiplicities": {str(c): m for c, m in sorted(self.multiplicity.items())},
-            "heterogeneous": self.heterogeneous,
+            "heterogeneous": bool(self.het_cells),
         }
         findings = self.findings() if len(self.cells) > 1 else ()  # a lone cell has none
         if findings:
@@ -190,7 +176,7 @@ def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
     nonsingleton = tuple(i for i, size in enumerate(sizes) if size > 1)
     kinds = [CellKind.EMPTY] * len(sizes)
     d: dict[tuple[int, int], int] = {}
-    pair_classes: dict[tuple[int, int], PairClass] = {}
+    pair_kinds: dict[tuple[int, int], PairKind] = {}
     for i in nonsingleton:
         profile = neighbour_counts(g, cell_of, cells[i][0])
         d[(i, i)] = profile.pop(i, 0)
@@ -198,12 +184,12 @@ def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
         for j, count in profile.items():
             d[(i, j)] = count
             if j < i and sizes[j] > 1:  # equitable: d[j, i] > 0 too, read with cell j
-                pair_classes[(j, i)] = _classify_pair(
-                    j, i, sizes[j], sizes[i], d[(j, i)], count
-                )
+                pair_kinds[(j, i)] = (  # by the degree into the smaller cell, j on ties
+                    _classify_pair(sizes[i], d[(j, i)]) if sizes[i] < sizes[j]
+                    else _classify_pair(sizes[j], count))
     return CellGraph(
         graph=g, partition=p, cell_sizes=sizes, nonsingleton=nonsingleton, d=d,
-        cell_kinds=tuple(kinds), pair_classes=pair_classes,
+        cell_kinds=tuple(kinds), pair_kinds=pair_kinds,
     )
 
 
@@ -221,21 +207,15 @@ def _classify_cell(size: int, dii: int) -> CellKind:
     return CellKind.OTHER
 
 
-def _classify_pair(i: int, j: int, si: int, sj: int, dij: int, dji: int) -> PairClass:
-    # orient so `small` is the lower-size cell (ties keep the lower id)
-    if sj < si:
-        small, s_small, d_large_to_small = j, sj, dij
-    else:
-        small, s_small, d_large_to_small = i, si, dji
-    if d_large_to_small == 0:
-        return _ISO_EMPTY
-    if d_large_to_small == s_small:
-        return _ISO_COMPLETE
-    if d_large_to_small == 1:
-        return PairClass(kind=PairKind.ANISO_STARS, center_cell=small)
-    if d_large_to_small == s_small - 1:
-        return PairClass(kind=PairKind.ANISO_CO_STARS, center_cell=small)
-    return _OTHER_PAIR
+def _classify_pair(s_small: int, into_small: int) -> PairKind:
+    # into_small = d[large, small], positive as the pair has an edge
+    if into_small == s_small:
+        return PairKind.ISO_COMPLETE
+    if into_small == 1:
+        return PairKind.ANISO_STARS
+    if into_small == s_small - 1:
+        return PairKind.ANISO_CO_STARS
+    return PairKind.OTHER
 
 
 class Components(Sequence):
@@ -273,7 +253,7 @@ def anisotropic_components(cg: CellGraph) -> Components:
     """
     sizes, kinds = cg.cell_sizes, cg.cell_kinds
     adj: dict[int, list[int]] = {i: [] for i in cg.nonsingleton}
-    for i, j in sorted(key for key, pc in cg.pair_classes.items() if pc.center_cell is not None):
+    for i, j in sorted(key for key, kind in cg.pair_kinds.items() if _anisotropic(kind)):
         adj[i].append(j)  # sorted keys keep every list ascending
         adj[j].append(i)
     seen: set[int] = set()
@@ -304,7 +284,7 @@ def anisotropic_components(cg: CellGraph) -> Components:
             root = next(c for c in comp if sizes[c] == min_size)
         parent: dict[int, int] = {}
         multiplicity: dict[int, int] = {}
-        bad_edges: list[tuple[str, int, int]] = []
+        decreasing: list[tuple[int, int]] = []
         order = [root] if degree_sum == 2 * (len(comp) - 1) else []  # only a tree is walked
         for x in order:  # breadth-first; order grows as the walk goes
             up = parent.get(x)
@@ -314,13 +294,11 @@ def anisotropic_components(cg: CellGraph) -> Components:
                 parent[y] = x
                 order.append(y)
                 if sizes[y] < sizes[x]:
-                    bad_edges.append(("monotone", x, y))
-                elif sizes[y] % sizes[x]:
-                    bad_edges.append(("divisibility", x, y))
+                    decreasing.append((x, y))
                 else:
                     multiplicity[y] = sizes[y] // sizes[x]
         comps.append(Component(
             cells=tuple(comp), root=root, order=tuple(order), parent=parent,
-            multiplicity=multiplicity, het_cells=het, bad_edges=tuple(bad_edges),
+            multiplicity=multiplicity, het_cells=het, decreasing=tuple(decreasing),
         ))
     return Components(cg, tuple(comps), _lone_component)

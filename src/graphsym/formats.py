@@ -23,7 +23,9 @@ GRAPH6_MAX_BODY_BYTES = 1 << 24
 # parse_edge_list refuses a header above this many vertices: every vertex
 # gets a row, so "1000000000 0" alone would ask for hundreds of gigabytes.
 MAX_VERTICES = 1 << 20
-_SIX_BITS_TO_TEXT = bytes(range(63, 127)) + bytes(192)  # value v -> byte v + 63
+_GRAPH6_BYTES = bytes(range(63, 127))
+_SIX_BITS_TO_TEXT = _GRAPH6_BYTES + bytes(192)  # value v -> byte v + 63
+_BYTE_TO_BITS = [""] * 63 + [f"{v:06b}" for v in range(64)]  # byte v + 63 -> v's bits, high first
 
 
 def parse_edge_list(text: str) -> tuple[Graph, int]:
@@ -78,9 +80,9 @@ def decode_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise BadGraph6(exc.start, f"character {s[exc.start]!r} is not ASCII") from None
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise BadGraph6(i, f"byte {b} outside printable graph6 range")
+    if data.translate(None, _GRAPH6_BYTES):  # a byte outside 63..126 is left
+        i, b = next((i, b) for i, b in enumerate(data) if not 63 <= b <= 126)
+        raise BadGraph6(i, f"byte {b} outside printable graph6 range")
     if not data:
         raise BadGraph6(0, "empty input")
     if data[0] == 126:  # '~' marks a size extension
@@ -99,23 +101,18 @@ def decode_graph6(text: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise BadGraph6(offset + len(body), f"expected {nbytes} data bytes, got {len(body)}")
+    bits = "".join(map(_BYTE_TO_BITS.__getitem__, body))
+    padding = bits.find("1", nbits)
+    if padding >= 0:
+        raise BadGraph6(offset + padding // 6, "nonzero padding bits")
     edges: list[tuple[int, int]] = []
-    bit = 0
-    i, j = 0, 1  # column-major upper triangle: (0,1),(0,2),(1,2),(0,3),...
-    for b in body:
-        val = b - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> k) & 1:
-                    raise BadGraph6(offset + bit // 6, "nonzero padding bits")
-                bit += 1
-                continue
-            if (val >> k) & 1:
-                edges.append((i, j))
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    stop = 0
+    for j in range(1, n):  # column j: bit start + i is the pair (i, j), i < j
+        start, stop = stop, stop + j
+        k = bits.find("1", start, stop)
+        while k >= 0:
+            edges.append((k - start, j))
+            k = bits.find("1", k + 1, stop)
     return from_edge_list(n, edges)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, perm
 from typing import Sequence
 
 from .cells import Component
@@ -269,39 +269,40 @@ def is_distinguishing(g: Graph, coloring, p: Partition | None = None) -> bool:
     return _find_preserving(g, colors) is None
 
 
-def _exists_distinguishing(g: Graph, base, c: int, checker) -> bool:
-    """Scan colorings with at most c colors for a distinguishing one.
+def _first_use_colorings(g: Graph, base, c: int):
+    """Yield (coloring, k) for each coloring with at most c colors in
+    canonical first-use order and twins colored apart, k the colors it uses.
 
-    Canonical first-use color order (distinguishing-ness is invariant under
-    recoloring bijections) and twin separation (equal-colored twins admit a
-    color-preserving swap) prune without losing completeness.  The stack
-    holds, per colored vertex, the iterator over its remaining colors and
-    the highest color used before it.
+    Every other labeling renames one of these, which keeps it distinguishing
+    or not, or colors two twins alike, which a swap preserves; so at most n
+    colors are tried, whatever c.  The stack holds, per colored vertex, its
+    remaining colors and the colors used before it; one list is rewritten.
     """
     n = g.n
     twins = _earlier_twins(g, base)
     coloring = [0] * n
+    if n == 0:
+        yield coloring, 0
+        return
 
-    def colors_for(v: int, max_used: int):
+    def colors_for(v: int, used: int):
         banned = {coloring[u] for u in twins[v]}
-        return (col for col in range(min(c - 1, max_used + 1) + 1) if col not in banned)
+        return (col for col in range(min(c, used + 1)) if col not in banned)
 
-    stack = [(colors_for(0, -1), -1)]
+    stack = [(colors_for(0, 0), 0)]
     while stack:
-        cols, max_used = stack[-1]
+        cols, used = stack[-1]
         col = next(cols, None)
         if col is None:
             stack.pop()
             continue
         v = len(stack) - 1
         coloring[v] = col
+        used = max(used, col + 1)
         if v + 1 == n:
-            if checker(coloring):
-                return True
+            yield coloring, used
         else:
-            max_used = max(max_used, col)
-            stack.append((colors_for(v + 1, max_used), max_used))
-    return False
+            stack.append((colors_for(v + 1, used), used))
 
 
 def dist_number_bf(g: Graph, p: Partition | None = None,
@@ -316,7 +317,7 @@ def dist_number_bf(g: Graph, p: Partition | None = None,
         return 1
     checker = _make_checker(g, base)
     for c in range(2, g.n + 1):
-        if _exists_distinguishing(g, base, c, checker):
+        if any(checker(coloring) for coloring, _k in _first_use_colorings(g, base, c)):
             return c
     raise InternalError("no distinguishing labeling with n colors; bug")
 
@@ -325,16 +326,17 @@ def dist_count_bf(g: Graph, p: Partition | None = None, c: int = 2,
                   limit: int = SEARCH_LIMIT_DEFAULT) -> int:
     """Number of pairwise inequivalent distinguishing labelings with <= c colors.
 
-    Counts all distinguishing labelings and divides by |Aut(g, p)|, which is
-    exact because the action on distinguishing labelings is free; a
-    remainder is reported as a bug.
+    Counts all distinguishing labelings, each first-use coloring with k
+    colors standing for the c!/(c-k)! labelings it renames to, and divides
+    by |Aut(g, p)|, which is exact because the action on distinguishing
+    labelings is free; a remainder is reported as a bug.
     """
     if g.n > limit:
         raise TooLarge(g.n, limit)
     base = p.cell_of if p is not None else [0] * g.n
     order = sum(1 for _ in _automorphisms_of(g, base))
     check = _make_checker(g, base)
-    total = sum(1 for coloring in product(range(c), repeat=g.n) if check(coloring))
+    total = sum(perm(c, k) for coloring, k in _first_use_colorings(g, base, c) if check(coloring))
     if total % order:
         raise InternalError(f"{total} distinguishing labelings not divisible by |Aut| = {order}")
     return total // order

@@ -48,10 +48,8 @@ def min_c_binom(r: int) -> int:
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     c = max(2, isqrt(2 * r))
-    while c * (c - 1) // 2 < r:
+    while c * (c - 1) // 2 < r:  # from below: C(c - 1, 2) < c^2 / 2 <= r
         c += 1
-    while c > 2 and (c - 1) * (c - 2) // 2 >= r:
-        c -= 1
     return c
 
 
@@ -213,10 +211,8 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
     the legs are rigid, else |head| times the leg fixing number.  The
     component must be a tree whose size ratios recognition has checked.
     """
-    if not comp.is_tree or comp.bad_edges:
-        raise InternalError(
-            f"component rooted at cell {comp.root} is not a tree of divisible sizes"
-        )
+    if not comp.is_tree or comp.decreasing:
+        raise InternalError(f"component rooted at cell {comp.root} is not a monotone tree")
     head = head_of_component(cg, comp)
     d_head, fix_head = head_invariants(head)
     legs = leg_fix(comp)

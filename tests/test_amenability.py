@@ -91,7 +91,7 @@ def test_equal_size_star_pair_accepted():
     verdict = check_amenable(g)
     assert verdict.amenable
     cg = build_cell_graph(g, stable_partition(g))
-    assert cg.pair_class(0, 1).kind is PairKind.ANISO_STARS
+    assert cg.pair_kind(0, 1) is PairKind.ANISO_STARS
 
 
 def test_small_named_families():

@@ -160,6 +160,22 @@ def test_is_distinguishing_matches_group_scan(atlas):
     assert checks == 11291
 
 
+def test_dist_count_matches_the_product_scan(atlas):
+    """oracle.dist_count_bf, which scans first-use colourings with twins
+    apart, against a count over all c^n labellings, with and without the
+    stable partition, for every atlas graph on up to six vertices."""
+    for g, _ok, _verdict in atlas[0]:
+        if g.n > 6:
+            continue
+        for p in (None, stable_partition(g)):
+            base = p.cell_of if p is not None else [0] * g.n
+            order = oracle.automorphisms(g, p).order
+            check = oracle._make_checker(g, base)
+            for c in (1, 2, 3):
+                total = sum(1 for coloring in product(range(c), repeat=g.n) if check(coloring))
+                assert oracle.dist_count_bf(g, p, c=c) * order == total, (g, p, c)
+
+
 def test_atlas_oracle_search_matches_vf2(atlas):
     """The oracle's vertex-image search against networkx's VF2 matcher:
     group orders, an isomorphism onto a relabelled copy, and the iso

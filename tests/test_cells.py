@@ -28,13 +28,12 @@ def test_figure1_kinds_and_pairs(figure1):
     assert cg.cell_kinds == (
         CellKind.EMPTY, CellKind.EMPTY, CellKind.MATCHING, CellKind.EMPTY,
     )
-    assert cg.pair_class(0, 1).kind is PairKind.ISO_COMPLETE
-    assert cg.pair_class(0, 2).kind is PairKind.ISO_COMPLETE
-    assert cg.pair_class(0, 3).kind is PairKind.ISO_EMPTY
-    assert cg.pair_class(1, 2).kind is PairKind.ISO_EMPTY
-    stars = cg.pair_class(1, 3)
-    assert stars.kind is PairKind.ANISO_STARS
-    assert stars.center_cell == 3
+    assert cg.pair_kind(0, 1) is PairKind.ISO_COMPLETE
+    assert cg.pair_kind(0, 2) is PairKind.ISO_COMPLETE
+    assert cg.pair_kind(0, 3) is PairKind.ISO_EMPTY
+    assert cg.pair_kind(1, 2) is PairKind.ISO_EMPTY
+    assert cg.pair_kind(1, 3) is PairKind.ANISO_STARS
+    assert cg.center_cell(1, 3) == 3
 
 
 def test_c5_cell_kind():
@@ -68,7 +67,7 @@ def test_figure1_components(figure1):
     assert [c.cells for c in comps] == [(0,), (1, 3), (2,)]
     assert comps[1].root == 3
     assert comps[1].multiplicity == {1: 2}
-    assert not comps[0].heterogeneous and comps[2].heterogeneous
+    assert not comps[0].het_cells and comps[2].het_cells
 
 
 def test_single_cell_component():
@@ -140,7 +139,7 @@ def test_heterogeneous_cell_off_minimum_reported():
     assert cg.cell_sizes[comp.root] == 2 and cg.cell_kinds[comp.root] is CellKind.EMPTY
     het = comp.het_cells[0]
     assert cg.cell_kinds[het] is CellKind.MATCHING and cg.cell_sizes[het] == 4
-    assert comp.is_tree and comp.bad_edges == ()
+    assert comp.is_tree and comp.decreasing == ()
     assert comp.findings() == [("D", "heterogeneous cell is not of minimum size", (het,))]
 
 
@@ -152,7 +151,7 @@ def test_decreasing_sizes_reported():
     assert cg.cell_sizes == (2, 6, 3)
     (comp,) = anisotropic_components(cg)
     assert comp.root == 0 and comp.parent == {1: 0, 2: 1}
-    assert comp.multiplicity == {1: 3} and comp.bad_edges == (("monotone", 1, 2),)
+    assert comp.multiplicity == {1: 3} and comp.decreasing == ((1, 2),)
     assert comp.findings() == [("C", "cell sizes decrease along 1 -> 2", (1, 2))]
 
 
@@ -177,15 +176,16 @@ def test_multiplicities_positive_and_consistent(g):
     cg = cell_graph_of(g)
     for comp in anisotropic_components(cg):
         cells = set(comp.cells)
-        aniso_pairs = sum(1 for (i, _j), pc in cg.pair_classes.items()
-                          if pc.center_cell is not None and i in cells)
+        aniso_pairs = sum(1 for (i, _j), kind in cg.pair_kinds.items()
+                          if kind in (PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS)
+                          and i in cells)
         assert (comp.order == ()) == (aniso_pairs != len(comp.cells) - 1)
         if comp.order:  # the walk: the root first, every cell after its parent
             assert comp.order[0] == comp.root and sorted(comp.order) == list(comp.cells)
             assert set(comp.parent) == set(comp.order[1:])
             position = {x: k for k, x in enumerate(comp.order)}
             assert all(position[p] < position[c] for c, p in comp.parent.items())
-        assert set(comp.multiplicity) | {c for _, _, c in comp.bad_edges} == set(comp.parent)
+        assert set(comp.multiplicity) | {c for _, c in comp.decreasing} == set(comp.parent)
         for child, m in comp.multiplicity.items():
             parent = comp.parent[child]
             assert m >= 1

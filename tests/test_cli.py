@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -317,6 +318,16 @@ def test_gen_spec_never_exits_3_on_a_mutated_spec(tmp_path, capsys):
             out = capsys.readouterr().out
             if code != 0:
                 assert (code, json.loads(out)["error"]) == (1, "BadSpec"), (path, value)
+
+
+def test_oracle_count_scans_at_most_n_colors(tmp_path, capsys):
+    # 20 colours on P8: a scan of all 20^8 labelings would take hours
+    path = tmp_path / "p8.txt"
+    path.write_text(format_edge_list(named("pn", 8)))
+    start = time.perf_counter()
+    assert run(["oracle", "count", str(path), "-c", "20"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == "12799920000"  # (20^8 - 20^4) / 2
 
 
 def test_oracle_answers_past_the_recursion_limit(tmp_path, capsys):

@@ -67,29 +67,52 @@ def test_size_form_boundary():
         assert decode_graph6(s) == g
 
 
+def _error(exc, call, *args):
+    """(position or line, message) of the error that call(*args) raises."""
+    with pytest.raises(exc) as info:
+        call(*args)
+    err = info.value
+    return (err.position if exc is BadGraph6 else err.line), str(err)
+
+
 def test_encode_refuses_a_body_over_the_bound():
     n = smallest_n_over_graph6_bound()
     assert n == 14190  # the limit the README states
     g = Graph(n=n, m=0, adjacency=((),) * n)
     with pytest.raises(BadGraph6, match=f"n = {n} needs"):
         encode_graph6(g)
+    n = 258048  # past the long size form
+    assert _error(BadGraph6, encode_graph6, Graph(n, 0, ((),) * n)) == (
+        0, f"bad graph6 at byte 0: n = {n} too large for supported size forms")
 
 
 def test_bad_graph6():
-    with pytest.raises(BadGraph6):
-        decode_graph6("")
-    with pytest.raises(BadGraph6):
-        decode_graph6("B")  # truncated body
-    with pytest.raises(BadGraph6):
-        decode_graph6("A\x19")  # byte below the printable range
-    with pytest.raises(BadGraph6, match="at byte 1: character 'é' is not ASCII"):
-        decode_graph6("Aé")
+    cases = [
+        ("", 0, "empty input"),
+        ("B", 1, "expected 1 data bytes, got 0"),  # truncated body
+        ("Dz?A", 4, "expected 2 data bytes, got 3"),  # body too long
+        ("A\x19", 1, "byte 25 outside printable graph6 range"),
+        ("Aé", 1, "character 'é' is not ASCII"),
+        ("~~??????", 1, "8-byte size form (n > 258047) not supported"),
+        ("~~", 1, "8-byte size form (n > 258047) not supported"),
+        ("~", 1, "truncated long-form size"),
+        ("~?A", 3, "truncated long-form size"),
+        ("~??~" + "?" * 10, 14, "expected 326 data bytes, got 10"),
+    ]
+    for text, position, reason in cases:
+        assert _error(BadGraph6, decode_graph6, text) == (
+            position, f"bad graph6 at byte {position}: {reason}"), text
 
 
 def test_nonzero_padding_rejected():
-    # K2 body byte with a stray low bit set
-    with pytest.raises(BadGraph6):
-        decode_graph6("A" + chr(63 + 0b100001))
+    # the body byte, or the last of them, with a stray padding bit set
+    for text, position in [
+        ("A" + chr(63 + 0b100001), 1),  # K2: one bit, five of padding
+        ("D?@", 2),  # n = 5: bits 10 and 11 pad the second byte
+        ("~??~" + "?" * 325 + "@", 329),  # n = 63: 1953 bits in 326 bytes
+    ]:
+        assert _error(BadGraph6, decode_graph6, text) == (
+            position, f"bad graph6 at byte {position}: nonzero padding bits"), text
 
 
 def test_edge_list_roundtrip(figure1):
@@ -111,3 +134,12 @@ def test_edge_list_errors():
         parse_edge_list("2 1\n0 1\n0 1\n0 1\n")  # edge count mismatch
     with pytest.raises(BadEdgeList):
         parse_edge_list("2 x\n")
+    cases = [
+        ("3\n", 1, "expected 'n m' header, got '3'"),
+        ("# c\n\n1 2 3\n0 1\n", 3, "expected 'n m' header, got '1 2 3'"),
+        ("-1 0\n", 1, "negative n or m"),
+        ("# x\n2 -1\n", 2, "negative n or m"),
+    ]
+    for text, line, reason in cases:
+        assert _error(BadEdgeList, parse_edge_list, text) == (
+            line, f"bad edge list at line {line}: {reason}"), text

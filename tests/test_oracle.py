@@ -99,10 +99,11 @@ def test_dist_count_bf_reports_a_remainder_as_a_bug(monkeypatch):
     from graphsym import oracle
     from graphsym.errors import InternalError
 
-    # a checker passing every labeling counts 3^2 = 9, not divisible by |Aut(K2)| = 2
+    # a checker passing every labeling counts 2^5 = 32, not divisible by |Aut(C5)| = 10
+    # (C5 has no twins, so the scan prunes none of them)
     monkeypatch.setattr(oracle, "_make_checker", lambda g, base: lambda coloring: True)
-    with pytest.raises(InternalError, match="not divisible by"):
-        dist_count_bf(named("kn", 2), c=3)
+    with pytest.raises(InternalError, match="32 distinguishing labelings not divisible by"):
+        dist_count_bf(named("cn", 5), c=2)
 
 
 def test_fix_number_bf_examples():

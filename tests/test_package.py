@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +58,11 @@ def test_the_calls_the_benchmark_makes():
     assert (report.dist_number, report.fix_number) == (3, 4)
     assert graphsym.amenable_iso(g, g).value == "Isomorphic"
     assert issubclass(graphsym.errors.NotAmenable, graphsym.errors.GraphSymError)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of README.md, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "3 4\n"

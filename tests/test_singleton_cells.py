@@ -70,9 +70,10 @@ def _check_against_adjacency(g) -> None:
             continue
         assert cg.degree_constant(j, i) == counts[(j, i)]
         kind, centre = _reference_pair(sizes, counts, min(i, j), max(i, j))
-        pc = cg.pair_class(i, j)
-        assert (pc.kind, pc.center_cell) == (kind, centre)
-        assert cg.pair_class(j, i) == pc
+        got = cg.pair_kind(i, j)
+        stars = got in (PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS)
+        assert (got, cg.center_cell(i, j) if stars else None) == (kind, centre)
+        assert (cg.pair_kind(j, i), cg.center_cell(j, i)) == (got, cg.center_cell(i, j))
     for i, size in enumerate(sizes):
         if size == 1:
             assert cg.cell_kinds[i] is CellKind.EMPTY and cg.degree_constant(i, i) == 0
@@ -101,9 +102,9 @@ def test_check_amenable_classifies_only_nonsingleton_pairs(monkeypatch):
     pairs, cells = [], []
     classify_pair, classify_cell = cells_module._classify_pair, cells_module._classify_cell
 
-    def counted_pair(i, j, *rest):
-        pairs.append((i, j))
-        return classify_pair(i, j, *rest)
+    def counted_pair(s_small, into_small):
+        pairs.append((s_small, into_small))
+        return classify_pair(s_small, into_small)
 
     def counted_cell(size, dii):
         cells.append(size)
@@ -111,8 +112,10 @@ def test_check_amenable_classifies_only_nonsingleton_pairs(monkeypatch):
 
     monkeypatch.setattr(cells_module, "_classify_pair", counted_pair)
     monkeypatch.setattr(cells_module, "_classify_cell", counted_cell)
-    assert check_amenable(g).amenable
-    assert sorted(pairs) == sorted(nonsingleton)
+    verdict = check_amenable(g)
+    assert verdict.amenable
+    assert len(pairs) == len(nonsingleton) == len(verdict.cell_graph.pair_kinds)
+    assert set(verdict.cell_graph.pair_kinds) == nonsingleton
     assert len(cells) == sum(1 for size in sizes if size > 1)
     assert 10 * len(pairs) < len(edge_pairs)
 

@@ -54,7 +54,7 @@ def test_min_c_binom_examples():
 
 
 def test_min_c_binom_is_tight():
-    for r in range(1, 500):
+    for r in range(1, 10**5):
         c = min_c_binom(r)
         assert c * (c - 1) // 2 >= r
         assert (c - 1) * (c - 2) // 2 < r
@@ -192,7 +192,7 @@ def test_component_report_rejects_a_bad_edge(figure1):
     (child,) = comp.order[1:]
     bad = Component(
         cells=comp.cells, root=comp.root, order=comp.order, parent=comp.parent,
-        multiplicity={}, bad_edges=(("divisibility", comp.root, child),),
+        multiplicity={}, decreasing=((comp.root, child),),
     )
     with pytest.raises(InternalError):
         component_report(verdict.cell_graph, bad)
@@ -323,7 +323,7 @@ def test_leg_recursions_ignore_the_walk_order():
             graph=from_edge_list(n, []), partition=Partition.from_colors([0] * n), cell_sizes=sizes,
             nonsingleton=tuple(range(len(sizes))), d={},
             cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (len(sizes) - 1),
-            pair_classes={},
+            pair_kinds={},
         )
         cap = 2 * n + 1
         key = symmetry._shape_key(cg, comp, ids)
@@ -354,7 +354,7 @@ def test_shape_key_of_a_deep_path_is_flat():
     cg = CellGraph(
         graph=from_edge_list(2 * n, []), partition=Partition.from_colors([0] * (2 * n)),
         cell_sizes=(2,) * n, nonsingleton=tuple(range(n)), d={},
-        cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_classes={},
+        cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_kinds={},
     )
     ids: dict = {}
     key = symmetry._shape_key(cg, comp, ids)
