@@ -120,11 +120,13 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     return iso_from_quotients(g, *_quotient(g), _quotient(h)[1])
 
 
-def iso_from_quotients(g: Graph, p: Partition, q_g: dict, q_h: dict) -> IsoVerdict:
-    """amenable_iso from g, ``_quotient(g)`` = (p, q_g) and h's quotient q_h,
-    so that h can be loaded and refined elsewhere, as ``graphsym iso`` does."""
+def iso_from_quotients(g: Graph, raw: list[int], q_g: dict, q_h: dict) -> IsoVerdict:
+    """amenable_iso from g, ``_quotient(g)`` = (raw, q_g) and h's quotient
+    q_h, so that h can be loaded and refined elsewhere, as ``graphsym iso``
+    does.  g's stable partition is numbered from raw only when the quotients
+    agree, since only then is g judged."""
     if q_g != q_h:
         return IsoVerdict.NOT_ISOMORPHIC
-    if _judge(g, p).amenable:
+    if _judge(g, Partition.from_colors(raw)).amenable:
         return IsoVerdict.ISOMORPHIC
     return IsoVerdict.HEURISTIC_EQUIVALENT

@@ -238,7 +238,7 @@ def _cmd_iso(args) -> int:
     child = _fork_quotient(args.other, args.format) if forks else None
     try:  # the first graph's errors come first, as without a child
         g = _load_graph(args.graph, args.format)
-        p, q_g = _quotient(g)
+        raw, q_g = _quotient(g)
     except BaseException:
         if child is not None:
             _kill(*child)
@@ -246,7 +246,7 @@ def _cmd_iso(args) -> int:
     q_h = None if child is None else _received(*child)
     if q_h is None:  # no child, or it failed: loading here raises what it met, if anything
         q_h = _quotient(_load_graph(args.other, args.format))[1]
-    verdict = iso_from_quotients(g, p, q_g, q_h)
+    verdict = iso_from_quotients(g, raw, q_g, q_h)
     _emit(args, {"verdict": verdict.value}, verdict.value)
     return EXIT_OK
 
@@ -313,6 +313,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(self.prog, message, self.format_usage())
 
 
+class _OtherGraph(argparse.Action):
+    """Stores iso's second graph: stdin can feed only one of the two."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value == "-" == namespace.graph:
+            parser.error("stdin can feed only one graph; give the other as a file")
+        setattr(namespace, self.dest, value)
+
+
 def _at_least(low: int):
     """An argparse type: an int of at least ``low``."""
     def count(text: str) -> int:
@@ -348,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="isomorphism test, exact under amenability")
     p.add_argument("graph")
-    p.add_argument("other")
+    p.add_argument("other", action=_OtherGraph)
     p.add_argument("--format", choices=["edgelist", "graph6"])
     p.set_defaults(func=_cmd_iso)
 

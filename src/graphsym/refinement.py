@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from enum import Enum
-from itertools import accumulate, chain
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidPartition
@@ -78,8 +76,10 @@ def _check_initial(g: Graph, n: int) -> None:
         raise InvalidPartition(f"partition covers {n} vertices, graph has {g.n}")
 
 
-def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int | tuple]) -> list[int]:
-    """Worklist refinement core; returns a raw (non-canonical) cell id per vertex.
+def _refine_colors(adj: Sequence[Sequence[int]],
+                   colors: Sequence[int | tuple]) -> tuple[list[int], list[set[int]]]:
+    """Worklist refinement core: a raw (non-canonical) cell id per vertex,
+    and per raw id the set of its vertices.
 
     The vertices of one color must have one degree.  Every equitable
     partition refines the degree partition, so this loses nothing, and it
@@ -89,56 +89,53 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int | tuple]) 
 
     Splitters are whole current cells.  A splitter touches the vertices it
     has neighbours in; vertices of singleton cells are skipped, since those
-    cells cannot split.  When a cell splits, its largest fragment keeps the
-    old id, and with it the old id's place in the queue if it has one; every
-    other fragment gets a new id and is queued.  A vertex is therefore queued
-    anew only in a cell at most half the size of the one it left, which gives
-    the (n + m) log n bound.  Initial cells are numbered in sorted color order
-    and queued lightest first, and touched cells split in ascending id, so
-    ``raw(relabel(g, perm))[perm[v]] == raw(g)[v]``.  A cell splits in two ways:
+    cells cannot split.  When a cell splits, its first largest fragment keeps
+    the old id, and with it the old id's place in the queue if it has one;
+    the other fragments get new ids in order and are queued.  A vertex is
+    therefore queued anew only in a cell at most half the size of the one it
+    left, which gives the (n + m) log n bound.  Initial cells are numbered in
+    sorted color order and queued lightest first, and touched cells split in
+    ascending id, so ``raw(relabel(g, perm))[perm[v]] == raw(g)[v]``.  A cell
+    splits in two ways, its untouched vertices first:
 
     - touched against untouched, when all its touched vertices have the same
       count of splitter neighbours (always so for a singleton splitter, where
       the count is 1): no grouping, no sort;
     - by count, when they have two or more counts: the touched vertices are
-      grouped by count and the groups ordered, after the untouched ones.
+      grouped by count and the groups ordered by count.
+
+    A split takes the touched vertices out of the cell's set in C, in time
+    proportional to them.  A set's table never shrinks, yet the bound holds:
+    each id is queued at most once, and its set never holds more vertices
+    than when the id was queued.
     """
-    n = len(colors)
     index = {col: i for i, col in enumerate(sorted(set(colors)))}
     cell_of = list(map(index.__getitem__, colors))
-    cell_size = [0] * len(index)
-    for c in cell_of:
-        cell_size[c] += 1
-    cell_start = list(accumulate(cell_size, initial=0))[:-1]
-    fill = cell_start[:]
-    verts, pos = [0] * n, [0] * n
+    cells: list[set[int]] = [set() for _ in index]
     for v, c in enumerate(cell_of):
-        at = fill[c]
-        fill[c] = at + 1
-        verts[at], pos[v] = v, at
-
-    by_entries = sorted(range(len(cell_size)),  # stable: ties stay in id order
-                        key=lambda c: cell_size[c] * len(adj[verts[cell_start[c]]]))
+        cells[c].add(v)
+    by_entries = sorted(range(len(cells)),  # stable: ties stay in id order
+                        key=lambda c: len(cells[c]) * len(adj[next(iter(cells[c]))]))
     work = deque(by_entries[:-1])  # lightest first, the heaviest not at all
-    cnt = [0] * n
+    cnt = [0] * len(cell_of)
     touched: defaultdict[int, list[int]] = defaultdict(list)
     while work:
         s = work.popleft()
-        start = cell_start[s]
         touched.clear()
-        counted = cell_size[s] > 1
+        counted = len(cells[s]) > 1
         if counted:
-            for v in verts[start: start + cell_size[s]]:
+            for v in cells[s]:
                 for u in adj[v]:
                     if cnt[u]:
                         cnt[u] += 1
-                    elif cell_size[c := cell_of[u]] > 1:
+                    elif len(cells[c := cell_of[u]]) > 1:
                         cnt[u] = 1
                         touched[c].append(u)
         else:
-            for u in adj[verts[start]]:
-                if cell_size[c := cell_of[u]] > 1:
-                    touched[c].append(u)
+            for v in cells[s]:
+                for u in adj[v]:
+                    if len(cells[c := cell_of[u]]) > 1:
+                        touched[c].append(u)
         for c in sorted(touched) if len(touched) > 1 else touched:
             tm = touched[c]
             groups = None
@@ -154,51 +151,33 @@ def _refine_colors(adj: Sequence[Sequence[int]], colors: Sequence[int | tuple]) 
                 else:
                     for u in tm:
                         cnt[u] = 0
-            lo, size, t = cell_start[c], cell_size[c], len(tm)
-            rest = size - t
-            if groups is not None:
-                order = sorted(groups)
-                moved = chain.from_iterable(map(groups.get, reversed(order)))
-            elif rest:
-                moved = tm
-            else:
-                continue
-            end = lo + size
-            for u in moved:  # the touched go to the end of the cell, counts ascending
-                end -= 1
-                pu, w = pos[u], verts[end]
-                verts[end], verts[pu] = u, w
-                pos[u], pos[w] = end, pu
-            if groups is None:  # the touched are the new cell unless they outnumber the rest
-                nid = len(cell_size)
+            rest = cells[c]
+            if groups is None:
+                if len(tm) == len(rest):
+                    continue
+                new = set(tm)
+                rest -= new
+                if len(new) > len(rest):  # the touched keep the id
+                    cells[c], new = new, rest
+                nid = len(cells)
+                cells.append(new)
                 work.append(nid)
-                if t <= rest:
-                    cell_size[c] = rest
-                    cell_start.append(end)
-                    cell_size.append(t)
-                    for u in tm:
+                for u in new:
+                    cell_of[u] = nid
+                continue
+            frags = [set(groups[k]) for k in sorted(groups)]
+            rest.difference_update(*frags)
+            if rest:
+                frags.insert(0, rest)
+            cells[c] = keep = max(frags, key=len)  # the first, on ties
+            for f in frags:
+                if f is not keep:
+                    nid = len(cells)
+                    cells.append(f)
+                    work.append(nid)
+                    for u in f:
                         cell_of[u] = nid
-                else:
-                    cell_start[c], cell_size[c] = end, t
-                    cell_start.append(lo)
-                    cell_size.append(rest)
-                    for k in range(lo, end):
-                        cell_of[verts[k]] = nid
-                continue
-            spans, at = [(lo, rest)] if rest else [], end
-            for k in order:
-                spans.append((at, len(groups[k])))
-                at += len(groups[k])
-            largest = spans.index(max(spans, key=itemgetter(1)))  # the first, on ties
-            cell_start[c], cell_size[c] = spans.pop(largest)
-            for at, sz in spans:
-                nid = len(cell_size)
-                cell_start.append(at)
-                cell_size.append(sz)
-                for k in range(at, at + sz):
-                    cell_of[verts[k]] = nid
-                work.append(nid)
-    return cell_of
+    return cell_of, cells
 
 
 def refine(g: Graph, initial: Partition | Sequence[int]) -> Partition:
@@ -210,13 +189,13 @@ def refine(g: Graph, initial: Partition | Sequence[int]) -> Partition:
     colors = initial.cell_of if isinstance(initial, Partition) else initial
     _check_initial(g, len(colors))
     return Partition.from_colors(
-        _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency)))))
+        _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency))))[0])
 
 
 def stable_partition(g: Graph) -> Partition:
     """Coarsest equitable partition of g (refinement of the unit partition),
     refined from the degree partition, which the unit cell splits into first."""
-    return Partition.from_colors(_refine_colors(g.adjacency, list(map(len, g.adjacency))))
+    return Partition.from_colors(_refine_colors(g.adjacency, list(map(len, g.adjacency)))[0])
 
 
 def neighbour_counts(g: Graph, cell_of: Sequence[int], v: int) -> dict[int, int]:
@@ -248,18 +227,19 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     return first_deviation(g, p) is None
 
 
-def _quotient(g: Graph) -> tuple[Partition, dict[int, tuple[int, list[int]]]]:
-    """g's stable partition p, and per cell of p its raw id's row: the
-    cell's size and the sorted raw ids of its lowest vertex's neighbours.
+def _quotient(g: Graph) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
+    """g's raw cell ids, one per vertex, and per raw id its row: the cell's
+    size and the sorted raw ids of any one member's neighbours, which are
+    the same for every member of a cell of an equitable partition.
 
     Raw ids are label-free, so g and h are CR-equivalent exactly when their
     quotients are equal: equal quotients merge into an equitable partition
     of the disjoint union with as many vertices of either graph in each
     cell, and CR-equivalent graphs make the same splits in the same order."""
-    raw = _refine_colors(g.adjacency, list(map(len, g.adjacency)))
-    p = Partition.from_colors(raw)
-    return p, {raw[cell[0]]: (len(cell), sorted(map(raw.__getitem__, g.adjacency[cell[0]])))
-               for cell in p.cells}
+    adj = g.adjacency
+    raw, cells = _refine_colors(adj, list(map(len, adj)))
+    return raw, {c: (len(cell), sorted(map(raw.__getitem__, adj[next(iter(cell))])))
+                 for c, cell in enumerate(cells)}
 
 
 def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:

@@ -267,7 +267,7 @@ def test_criterion_9_refinement_work():
         g, _ = random_amenable(size, seed=1000 + i)
         rows = tuple(map(_CountingRow, g.adjacency))
         _CountingRow.visits = 0
-        raw = refinement._refine_colors(rows, list(map(len, rows)))
+        raw = refinement._refine_colors(rows, list(map(len, rows)))[0]
         assert Partition.from_colors(raw) == stable_partition(g)
         bound = 2 * g.m * g.n.bit_length()  # bit_length is 1 + floor(log2 n)
         assert _CountingRow.visits <= bound, f"n={g.n}: {_CountingRow.visits} visits > {bound}"

@@ -9,6 +9,7 @@ from graphsym import (
     amenable_iso,
     build_cell_graph,
     check_amenable,
+    cr_iso_test,
     from_edge_list,
     oracle,
     relabel,
@@ -179,9 +180,10 @@ def test_amenable_iso_refines_once(monkeypatch):
     assert calls == [6, 6]
 
 
-def test_iso_from_quotients_numbers_nothing_again(monkeypatch):
-    """Given _quotient(g) and h's quotient, iso_from_quotients judges g on
-    the partition _quotient returned: it neither refines nor numbers g again."""
+def test_the_iso_path_numbers_g_only_when_the_quotients_agree(monkeypatch):
+    """iso_from_quotients never refines, and numbers g's stable partition
+    (Partition.from_colors) once when the quotients agree, never when they
+    differ.  cr_iso_test numbers neither graph, and amenable_iso never h."""
     from graphsym import amenability, refinement
 
     g, _ = random_amenable(12, seed=3)
@@ -189,13 +191,28 @@ def test_iso_from_quotients_numbers_nothing_again(monkeypatch):
     cases = [(g, relabel(g, list(range(g.n))[::-1]), IsoVerdict.ISOMORPHIC),
              (g, named("kn", g.n), IsoVerdict.NOT_ISOMORPHIC),
              (named("cn", 6), disjoint_union(c3, c3), IsoVerdict.HEURISTIC_EQUIVALENT)]
-    quotients = [(g, *refinement._quotient(g), refinement._quotient(h)[1], expected)
+    quotients = [(g, h, *refinement._quotient(g), refinement._quotient(h)[1], expected)
                  for g, h, expected in cases]
+    numbered = []
+    number = refinement.Partition.from_colors
 
-    def numbers_again(*_args):
-        raise AssertionError("g was refined or numbered again")
+    def counted(_cls, colors):
+        numbered.append(list(colors))
+        return number(colors)
 
-    monkeypatch.setattr(refinement, "_refine_colors", numbers_again)
-    monkeypatch.setattr(refinement.Partition, "from_colors", classmethod(numbers_again))
-    for g, p, q_g, q_h, expected in quotients:
-        assert amenability.iso_from_quotients(g, p, q_g, q_h) is expected
+    def refines(*_args):
+        raise AssertionError("iso_from_quotients refined")
+
+    monkeypatch.setattr(refinement.Partition, "from_colors", classmethod(counted))
+    for g, h, raw, q_g, q_h, expected in quotients:
+        once = [] if expected is IsoVerdict.NOT_ISOMORPHIC else [raw]
+        with monkeypatch.context() as patched:
+            patched.setattr(refinement, "_refine_colors", refines)
+            assert amenability.iso_from_quotients(g, raw, q_g, q_h) is expected
+        assert numbered == once
+        numbered.clear()
+        cr_iso_test(g, h)
+        assert numbered == []
+        assert amenable_iso(g, h) is expected
+        assert numbered == once  # g's raw ids, and h's never
+        numbered.clear()

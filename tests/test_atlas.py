@@ -61,15 +61,18 @@ def test_atlas_verdicts_match_the_definition(atlas):
 def test_degree_start_gives_the_unit_start_partition(atlas):
     """stable_partition starts from the degree partition and leaves one of
     its cells unqueued; the round-based reference starts from one cell.
-    _quotient returns the same partition beside its rows, one per cell."""
+    _quotient returns the raw ids of that partition beside their rows, one
+    per cell."""
     rows, _shared = atlas
     draws = [random_amenable(n, seed=seed)[0] for seed in range(40) for n in (10, 50, 200)]
     for g in [g for g, _ok, _verdict in rows] + draws:
         p = stable_partition(g)
         assert p == refine(g, Partition.from_colors([0] * g.n)), g
         assert p.cell_of == refine_rounds(g.adjacency, [0] * g.n), g
-        q_p, q = _quotient(g)
-        assert q_p == p and [size for size, _row in q.values()] == list(map(len, p.cells)), g
+        raw, q = _quotient(g)
+        assert Partition.from_colors(raw) == p, g
+        assert sorted(q) == list(range(len(p.cells))), g
+        assert all(q[raw[cell[0]]][0] == len(cell) for cell in p.cells), g
 
 
 def test_raw_ids_survive_relabelling(atlas):
@@ -81,8 +84,8 @@ def test_raw_ids_survive_relabelling(atlas):
     for g in [g for g, _ok, _verdict in rows] + draws:
         perm = rng.sample(range(g.n), g.n)
         h = relabel(g, perm)
-        raw_g = _refine_colors(g.adjacency, list(map(len, g.adjacency)))
-        raw_h = _refine_colors(h.adjacency, list(map(len, h.adjacency)))
+        raw_g = _refine_colors(g.adjacency, list(map(len, g.adjacency)))[0]
+        raw_h = _refine_colors(h.adjacency, list(map(len, h.adjacency)))[0]
         assert [raw_h[perm[v]] for v in range(g.n)] == raw_g, g
 
 

@@ -626,6 +626,28 @@ def test_iso_reads_stdin_in_process(big_files, monkeypatch, capsys, two_cpus):
     assert capsys.readouterr().out == "Isomorphic\n"
 
 
+def test_iso_refuses_stdin_for_both_graphs(c6_file, monkeypatch, capsys):
+    """stdin can feed one graph only: a usage error before anything is read."""
+    import io
+
+    def read(*_args):
+        raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO())
+    monkeypatch.setattr(sys.stdin, "read", read)
+    message = "graphsym iso: stdin can feed only one graph; give the other as a file"
+    assert run(["--json", "iso", "-", "-"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "UsageError", "message": message}
+    assert run(["iso", "-", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: graphsym iso")
+    assert captured.err.endswith(f"error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_edge_list(named("cn", 6))))
+    assert run(["iso", c6_file, "-"]) == 0  # C6 is not amenable
+    assert capsys.readouterr().out == "HeuristicEquivalent\n"
+
+
 @pytest.fixture(scope="module")
 def pairs_above_the_threshold(tmp_path_factory):
     """Two random_amenable draws and a G(n, 3n), n >= 5000, each against a

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -66,3 +67,23 @@ def test_readme_quick_start_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "3 4\n"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module under src/graphsym imports is read somewhere in
+    it.  Imports inside functions count too; ``__future__`` does not."""
+    unused = []
+    for path in sorted(Path(graphsym.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -19,9 +19,10 @@ from graphsym import (
 )
 from graphsym.errors import InvalidPartition, NotEquitable
 from graphsym.generators import named
-from graphsym.refinement import first_deviation
+from graphsym.refinement import _refine_colors, first_deviation
 
 from .conftest import disjoint_union, graphs, refines, set_partitions
+from .naive_refinement import refine_rounds
 
 
 def as_sets(p: Partition) -> set[frozenset[int]]:
@@ -168,3 +169,18 @@ def test_first_deviation_matches_per_vertex_reference(g, data):
         with pytest.raises(NotEquitable) as info:
             build_cell_graph(g, p)
         assert (info.value.vertex, info.value.cell) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=1, max_n=12), st.data())
+def test_core_cells_are_the_vertex_sets_of_the_raw_ids(g, data):
+    """The core's cells, which _quotient reads rows from: cells[c] holds
+    exactly the vertices of raw id c, none is empty, and raw numbers to the
+    round-based reference."""
+    k = data.draw(st.integers(1, g.n))
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n))
+    raw, cells = _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency))))
+    assert all(raw[v] == c for c, cell in enumerate(cells) for v in cell)
+    assert all(cells)
+    assert sum(map(len, cells)) == g.n
+    assert Partition.from_colors(raw).cell_of == refine_rounds(g.adjacency, colors)

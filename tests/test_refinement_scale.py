@@ -69,8 +69,8 @@ def test_refine_matches_round_based_reference(name, build, k):
     image = {frozenset(perm[v] for v in cell) for cell in p.cells}
     assert image == {frozenset(cell) for cell in refine(h, moved).cells}
     # raw ids, not just cells, survive relabelling
-    raw_g = _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency))))
-    raw_h = _refine_colors(h.adjacency, list(zip(moved, map(len, h.adjacency))))
+    raw_g = _refine_colors(g.adjacency, list(zip(colors, map(len, g.adjacency))))[0]
+    raw_h = _refine_colors(h.adjacency, list(zip(moved, map(len, h.adjacency))))[0]
     assert [raw_h[perm[v]] for v in range(g.n)] == raw_g
 
 
