@@ -48,6 +48,15 @@ class Failure(NamedTuple):
                 out[key] = list(val) if isinstance(val, tuple) else val
         return out
 
+    def __str__(self) -> str:
+        """The certificate as text, e.g. ``condition A fails at cell 0``."""
+        text = f"condition {self.condition.value} fails"
+        if self.component is not None:
+            return f"{text} in component {self.component}: {self.reason}"
+        if self.pair is not None:
+            return f"{text} at cell pair {self.pair[0]}, {self.pair[1]}"
+        return f"{text} at cell {self.cell}"
+
 
 class AmenabilityVerdict(NamedTuple):
     amenable: bool
@@ -60,7 +69,7 @@ class AmenabilityVerdict(NamedTuple):
         if self.failure is not None:
             out["failure"] = self.failure.to_json()
         if self.components is not None:
-            out["components"] = [c.to_json() for c in self.components]
+            out["components"] = self.components.to_json()
         return out
 
 

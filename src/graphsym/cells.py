@@ -220,15 +220,28 @@ def _classify_pair(s_small: int, into_small: int) -> PairKind:
 
 class Components(Sequence):
     """Per-component records by lowest cell id: ``records`` for the nonsingleton
-    cells, then on first read ``lone(cell)`` for each singleton cell."""
+    cells, and for each singleton cell ``lone(cell)`` when the records are
+    first read, or only the JSON row ``lone_row(cell)`` when ``to_json`` is."""
 
-    def __init__(self, cg: CellGraph, records: tuple, lone: Callable[[int], object]) -> None:
-        self.cg, self.records, self._lone = cg, records, lone
+    def __init__(self, cg: CellGraph, records: tuple, lone: Callable[[int], object],
+                 lone_row: Callable[[int], dict]) -> None:
+        self.cg, self.records, self._lone, self._lone_row = cg, records, lone, lone_row
+
+    def _merged(self, record: Callable, lone: Callable[[int], object]) -> list:
+        """record(r) for each record and lone(cell) for each singleton cell,
+        each at its lowest cell: one pass over the cell ids."""
+        at = {r.cells[0]: r for r in self.records}
+        return [lone(i) if size == 1 else record(at[i])
+                for i, size in enumerate(self.cg.cell_sizes) if size == 1 or i in at]
 
     @cached_property
     def _all(self) -> tuple:
-        singles = [self._lone(i) for i, size in enumerate(self.cg.cell_sizes) if size == 1]
-        return tuple(sorted([*self.records, *singles], key=lambda r: r.cells[0]))
+        return tuple(self._merged(lambda r: r, self._lone))
+
+    def to_json(self) -> list[dict]:
+        """Each component's ``to_json()`` in order, with no record made for a
+        singleton cell."""
+        return self._merged(lambda r: r.to_json(), self._lone_row)
 
     def __len__(self) -> int:
         return len(self._all)
@@ -236,11 +249,19 @@ class Components(Sequence):
     def __getitem__(self, index):
         return self._all[index]
 
+    def __iter__(self):
+        return iter(self._all)
+
 
 def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
     # a cell without anisotropic pairs: a tree without edges, rooted at itself
     return Component(cells=(cell,), root=cell, order=(cell,), parent={}, multiplicity={},
                      het_cells=(cell,) if heterogeneous else ())
+
+
+def _lone_row(cell: int) -> dict:  # _lone_component(cell).to_json()
+    return {"cells": [cell], "root": cell, "parents": {}, "multiplicities": {},
+            "heterogeneous": False}
 
 
 def anisotropic_components(cg: CellGraph) -> Components:
@@ -301,4 +322,4 @@ def anisotropic_components(cg: CellGraph) -> Components:
             cells=tuple(comp), root=root, order=tuple(order), parent=parent,
             multiplicity=multiplicity, het_cells=het, decreasing=tuple(decreasing),
         ))
-    return Components(cg, tuple(comps), _lone_component)
+    return Components(cg, tuple(comps), _lone_component, _lone_row)

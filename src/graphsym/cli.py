@@ -97,7 +97,8 @@ def _emit(args, payload: dict, human: str | None = None) -> None:
     No human text stands for the payload indented, built only when printed.
     It is flushed here, so that a failing stdout raises inside the command."""
     if args.json or human is None:
-        human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True)
+        human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True,
+                           check_circular=False)  # a fresh tree of dicts and lists
     print(human, file=_std("stdout"), flush=True)
 
 
@@ -109,7 +110,8 @@ def _fail(args, exc: Exception, code: int) -> int:
         if isinstance(exc, NotAmenable):
             payload["verdict"] = exc.verdict.to_json()
         try:
-            print(json.dumps(payload, sort_keys=True), file=_std("stdout"), flush=True)
+            print(json.dumps(payload, sort_keys=True, check_circular=False),
+                  file=_std("stdout"), flush=True)
             return code
         except OSError as write_error:
             exc, code = write_error, EXIT_IO
@@ -129,7 +131,7 @@ def _cmd_cells(args) -> int:
     g = _load_graph(args.graph, args.format)
     cg = cell_graph_of_equitable(g, stable_partition(g))
     payload = cg.to_json()
-    payload["components"] = [c.to_json() for c in anisotropic_components(cg)]
+    payload["components"] = anisotropic_components(cg).to_json()
     _emit(args, payload)
     return EXIT_OK
 
@@ -137,7 +139,7 @@ def _cmd_cells(args) -> int:
 def _cmd_amenable(args) -> int:
     g = _load_graph(args.graph, args.format)
     verdict = check_amenable(g)
-    human = "amenable" if verdict.amenable else f"not amenable ({verdict.failure.to_json()})"
+    human = "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
     _emit(args, verdict.to_json(), human)
     return EXIT_OK
 

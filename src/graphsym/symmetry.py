@@ -165,16 +165,21 @@ def _singleton_report(cell: int) -> ComponentReport:  # a head K1 without legs
                            d_head=1, fix_head=0, leg_fix=0, dist=1, fix=0)
 
 
+def _singleton_row(cell: int) -> dict:  # _singleton_report(cell).to_json()
+    return {"cells": [cell], "root": cell, "head": {"shape": "complete", "size": 1},
+            "d_head": 1, "fix_head": 0, "leg_fix": 0, "dist": 1, "fix": 0}
+
+
 class SymmetryReport(NamedTuple):
     dist_number: int
     fix_number: int
-    components: Sequence[ComponentReport]
+    components: Components  # of ComponentReport
 
     def to_json(self) -> dict:
         return {
             "dist_number": self.dist_number,
             "fix_number": self.fix_number,
-            "components": [c.to_json() for c in self.components],
+            "components": self.components.to_json(),
         }
 
 
@@ -270,7 +275,7 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
     return SymmetryReport(
         dist_number=max((r.dist for r in reports), default=min(g.n, 1)),
         fix_number=sum(r.fix for r in reports),
-        components=Components(cg, tuple(reports), _singleton_report),
+        components=Components(cg, tuple(reports), _singleton_report, _singleton_row),
     )
 
 

@@ -14,13 +14,14 @@ import networkx as nx
 import pytest
 
 import graphsym
-from graphsym import amenable_iso, from_edge_list, relabel
+from graphsym import amenable_iso, check_amenable, from_edge_list, relabel
 from graphsym.cli import FORK_MIN_BYTES, run
 from graphsym.formats import MAX_VERTICES, encode_graph6, format_edge_list, parse_edge_list
 from graphsym.generators import named, random_amenable
 from graphsym.refinement import _quotient
 
 from .conftest import disjoint_union, smallest_n_over_graph6_bound
+from .test_pinned_outputs import _gnm
 from .test_refinement_scale import gnm, with_one_edge_moved
 
 
@@ -93,6 +94,28 @@ def test_not_amenable_exit_code(c6_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "NotAmenable"
     assert payload["verdict"]["amenable"] is False
+
+
+@pytest.mark.parametrize("draw, text", [
+    (42, "condition A fails at cell 0"),
+    (61, "condition B fails at cell pair 0, 1"),
+    (185, "condition C fails in component 0: not a tree"),
+    (269, "condition D fails in component 0: heterogeneous cell is not of minimum size"),
+], ids="ABCD")
+def test_the_failure_certificate_reads_as_text(tmp_path, capsys, draw, text):
+    g = _gnm()[draw]  # the first pinned G(n, m) draw failing each condition
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    verdict = {"amenable": False, "failure": check_amenable(g).failure.to_json()}
+    assert run(["amenable", str(path)]) == 0
+    assert capsys.readouterr().out == f"not amenable: {text}\n"
+    assert run(["--json", "amenable", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == verdict
+    assert run(["dist", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: graph is not amenable: {text}\n"
+    assert run(["--json", "fix", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NotAmenable", "message": f"graph is not amenable: {text}", "verdict": verdict}
 
 
 def test_iso_heuristic_equivalent(tmp_path, capsys):

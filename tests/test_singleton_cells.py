@@ -7,6 +7,7 @@ singleton had its own record."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,13 @@ from graphsym import (
     stable_partition,
 )
 from graphsym import cells as cells_module
+from graphsym import symmetry as symmetry_module
 from graphsym.cli import run
+from graphsym.formats import format_edge_list
 from graphsym.generators import named
 
 from .conftest import disjoint_union, graphs, near_discrete
+from .test_pinned_outputs import _atlas, _random_amenable
 
 NEAR_DISCRETE = near_discrete()
 
@@ -183,3 +187,65 @@ def test_all_singleton_graphs(tmp_path, capsys, n, edges, dist, fix):
     assert out == json.dumps(expected, sort_keys=True) + "\n"
     if n == 0:
         assert out == '{"cells": [], "components": [], "pairs": []}\n'
+
+
+def _recursive_tree(n: int, seed: int):
+    rng = random.Random(seed)
+    return from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _check_merged(comps, lone) -> None:
+    """comps holds its records and lone(cell) for each singleton cell, sorted
+    by lowest cell id, alike through len, indexing and iteration; and its
+    JSON is that of each component in turn."""
+    sizes = comps.cg.cell_sizes
+    merged = sorted([*comps.records, *(lone(i) for i, size in enumerate(sizes) if size == 1)],
+                    key=lambda c: c.cells[0])
+    assert list(comps) == [comps[i] for i in range(len(comps))] == merged
+    assert list(comps[1:-1]) == merged[1:-1]
+    assert comps.to_json() == [c.to_json() for c in merged]
+
+
+@pytest.mark.parametrize("family", ["atlas", "random_amenable", "near_discrete", "tree_2000"])
+def test_component_json_is_each_component_in_turn(family):
+    draw = {"atlas": _atlas, "random_amenable": _random_amenable, "near_discrete": near_discrete,
+            "tree_2000": lambda: [_recursive_tree(2000, 7)]}[family]
+    for g in draw():
+        _check_merged(anisotropic_components(build_cell_graph(g, stable_partition(g))),
+                      cells_module._lone_component)
+        verdict = check_amenable(g)
+        if verdict.amenable:
+            _check_merged(verdict.components, cells_module._lone_component)
+            _check_merged(analyze(g, verdict=verdict).components, symmetry_module._singleton_report)
+
+
+def test_component_json_makes_no_record_per_singleton_cell(tmp_path, capsys, monkeypatch):
+    g = NEAR_DISCRETE[3]  # a random recursive tree: about 1010 of 1230 cells are singletons
+    verdict = check_amenable(g)
+    expected = [c.to_json() for c in verdict.components]
+    expected_report = analyze(g, verdict=verdict).to_json()
+    sizes = verdict.cell_graph.cell_sizes
+    lone = cells_module._lone_component
+
+    def no_singleton_component(cell, *args):
+        if sizes[cell] == 1:
+            raise RuntimeError(f"a record for singleton cell {cell}")
+        return lone(cell, *args)
+
+    def no_singleton_report(cell):
+        raise RuntimeError(f"a report for singleton cell {cell}")
+
+    monkeypatch.setattr(cells_module, "_lone_component", no_singleton_component)
+    monkeypatch.setattr(symmetry_module, "_singleton_report", no_singleton_report)
+    verdict = check_amenable(g)
+    assert verdict.to_json() == {"amenable": True, "components": expected}
+    report = analyze(g, verdict=verdict)
+    assert report.to_json() == expected_report
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    assert run(["--json", "cells", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["components"] == expected
+    with pytest.raises(RuntimeError, match="a record for singleton cell"):
+        list(verdict.components)  # reading the records still makes them
+    with pytest.raises(RuntimeError, match="a report for singleton cell"):
+        len(report.components)
