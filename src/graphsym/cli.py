@@ -1,5 +1,11 @@
 """Command-line front end.
 
+A graph command maps the loaded graph and ``args`` to its answer ``(payload,
+human)``, and ``human=None`` means the payload is printed indented.  ``run``
+loads the input, except for ``iso`` (which forks before it loads) and
+``gen`` (which writes a graph and answers None), prints the answer and maps
+errors to exit codes.
+
 Exit codes: 0 success; 1 parse/IO or usage errors, including BadSpec for a
 malformed ``gen spec`` file and a closed stdin, or a closed or failing
 stdout (then with one ``error:`` line on stderr, even under --json); 2
@@ -92,10 +98,9 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return parse_edge_list(text)[0]
 
 
-def _emit(args, payload: dict, human: str | None = None) -> None:
-    """Print payload as one JSON line under --json, else the human text.
-    No human text stands for the payload indented, built only when printed.
-    It is flushed here, so that a failing stdout raises inside the command."""
+def _emit(args, payload: dict, human: str | None) -> None:
+    """Print an answer (see the module docstring), the indented payload built only
+    when printed, and flush it, so that a failing stdout raises inside run."""
     if args.json or human is None:
         human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True,
                            check_circular=False)  # a fresh tree of dicts and lists
@@ -119,50 +124,30 @@ def _fail(args, exc: Exception, code: int) -> int:
     return code
 
 
-def _cmd_refine(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def _cmd_refine(g: Graph, args) -> tuple[dict, str | None]:
     p = stable_partition(g)
-    human = None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
-    _emit(args, p.to_json(), human)
-    return EXIT_OK
+    return p.to_json(), None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
 
 
-def _cmd_cells(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def _cmd_cells(g: Graph, args) -> tuple[dict, str | None]:
     cg = cell_graph_of_equitable(g, stable_partition(g))
-    payload = cg.to_json()
-    payload["components"] = anisotropic_components(cg).to_json()
-    _emit(args, payload)
-    return EXIT_OK
+    return {**cg.to_json(), "components": anisotropic_components(cg).to_json()}, None
 
 
-def _cmd_amenable(args) -> int:
-    g = _load_graph(args.graph, args.format)
+def _cmd_amenable(g: Graph, args) -> tuple[dict, str | None]:
     verdict = check_amenable(g)
     human = "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
-    _emit(args, verdict.to_json(), human)
-    return EXIT_OK
+    return verdict.to_json(), human
 
 
-def _symmetry_command(args, field: str) -> int:
+def _cmd_symmetry(g: Graph, args) -> tuple[dict, str | None]:
     from .symmetry import analyze
 
-    g = _load_graph(args.graph, args.format)
     report = analyze(g)
     if args.components:
-        _emit(args, report.to_json())
-    else:
-        value = getattr(report, field)
-        _emit(args, {field: value}, str(value))
-    return EXIT_OK
-
-
-def _cmd_dist(args) -> int:
-    return _symmetry_command(args, "dist_number")
-
-
-def _cmd_fix(args) -> int:
-    return _symmetry_command(args, "fix_number")
+        return report.to_json(), None
+    value = getattr(report, args.field)
+    return {args.field: value}, str(value)
 
 
 def _fork_pays(*paths: str) -> bool:
@@ -235,7 +220,7 @@ def _kill(pid: int, fd: int) -> None:
     os.waitpid(pid, 0)
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> tuple[dict, str | None]:
     forks = _fork_pays(args.graph, args.other)
     child = _fork_quotient(args.other, args.format) if forks else None
     try:  # the first graph's errors come first, as without a child
@@ -249,39 +234,23 @@ def _cmd_iso(args) -> int:
     if q_h is None:  # no child, or it failed: loading here raises what it met, if anything
         q_h = _quotient(_load_graph(args.other, args.format))[1]
     verdict = iso_from_quotients(g, raw, q_g, q_h)
-    _emit(args, {"verdict": verdict.value}, verdict.value)
-    return EXIT_OK
+    return {"verdict": verdict.value}, verdict.value
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(g: Graph, args) -> tuple[dict, str | None]:
     from . import oracle
 
-    g = _load_graph(args.graph, args.format)
-    limit = args.max_oracle_n
-    if limit is None:
-        limit = oracle.SEARCH_LIMIT_DEFAULT
+    limit = oracle.SEARCH_LIMIT_DEFAULT if args.max_oracle_n is None else args.max_oracle_n
     if args.op == "aut":
-        group = oracle.automorphisms(g, limit_n=limit)
-        _emit(args, {"order": group.order}, str(group.order))
+        payload = {"order": oracle.automorphisms(g, limit_n=limit).order}
     elif args.op == "dist":
-        value = oracle.dist_number_bf(g, limit=limit)
-        _emit(args, {"dist_number": value}, str(value))
+        payload = {"dist_number": oracle.dist_number_bf(g, limit=limit)}
     elif args.op == "fix":
-        value = oracle.fix_number_bf(g, limit=limit)
-        _emit(args, {"fix_number": value}, str(value))
+        payload = {"fix_number": oracle.fix_number_bf(g, limit=limit)}
     else:  # count
-        value = oracle.dist_count_bf(g, c=args.colors, limit=limit)
-        _emit(args, {"dist_count": value, "colors": args.colors}, str(value))
-    return EXIT_OK
-
-
-def _write_graph(args, g: Graph) -> None:
-    text = encode_graph6(g) + "\n" if args.format == "graph6" else format_edge_list(g)
-    if args.out == "-":
-        print(text, end="", file=_std("stdout"), flush=True)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        payload = {"dist_count": oracle.dist_count_bf(g, c=args.colors, limit=limit),
+                   "colors": args.colors}
+    return payload, str(next(iter(payload.values())))  # the first value is the answer
 
 
 def _load_spec(text: str):
@@ -294,7 +263,7 @@ def _load_spec(text: str):
         raise BadSpec(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     from . import generators
 
     if args.source == "named":
@@ -304,8 +273,12 @@ def _cmd_gen(args) -> int:
     else:  # spec
         spec = _load_spec(_read_text(args.spec_file, "spec"))
         g, _partition = generators.generate(spec, seed=args.seed)
-    _write_graph(args, g)
-    return EXIT_OK
+    text = encode_graph6(g) + "\n" if args.format == "graph6" else format_edge_list(g)
+    if args.out == "-":
+        print(text, end="", file=_std("stdout"), flush=True)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_cmd("refine", _cmd_refine, "stable partition")
     add_graph_cmd("cells", _cmd_cells, "cell graph and anisotropic forest")
     add_graph_cmd("amenable", _cmd_amenable, "amenability verdict")
-    for name, func in (("dist", _cmd_dist), ("fix", _cmd_fix)):
-        p = add_graph_cmd(name, func, f"{name} number (amenable graphs)")
+    for name, field in (("dist", "dist_number"), ("fix", "fix_number")):
+        p = add_graph_cmd(name, _cmd_symmetry, f"{name} number (amenable graphs)")
         p.add_argument("--components", action="store_true",
                        help="print the per-component breakdown")
+        p.set_defaults(field=field)  # the number _cmd_symmetry prints without --components
 
     p = sub.add_parser("iso", help="isomorphism test, exact under amenability")
     p.add_argument("graph")
@@ -401,7 +375,13 @@ def run(argv: list[str] | None = None) -> int:
             sys.stderr.write(exc.usage)
         return _fail(args, exc, EXIT_IO)
     try:
-        return args.func(args)
+        if args.command in ("iso", "gen"):  # they load their own input
+            answer = args.func(args)
+        else:
+            answer = args.func(_load_graph(args.graph, args.format), args)
+        if answer is not None:
+            _emit(args, *answer)
+        return EXIT_OK
     except (NotAmenable, TooLarge) as exc:
         return _fail(args, exc, EXIT_REFUSED)
     except InternalError as exc:

@@ -13,7 +13,7 @@ GRAPH6_MAX_BODY_BYTES of body, so n <= 14189.
 
 from __future__ import annotations
 
-from .errors import BadEdgeList, BadGraph6
+from .errors import BadEdgeList, BadGraph6, OutOfRange, SelfLoop
 from .graph import Graph, from_edge_list
 
 _HEADER = ">>graph6<<"
@@ -62,8 +62,20 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
     n, m = header
     if len(edges) != m:
         raise BadEdgeList(0, f"header says {m} edges, found {len(edges)}")
-    g = from_edge_list(n, edges)  # deduplicates either orientation
+    try:
+        g = from_edge_list(n, edges)  # deduplicates either orientation
+    except (OutOfRange, SelfLoop) as exc:
+        raise BadEdgeList(_refused_line(lines, n, edges), str(exc)) from None
     return g, len(edges) - g.m
+
+
+def _refused_line(lines: list[str], n: int, edges: list[tuple[int, int]]) -> int:
+    """The line of the first edge from_edge_list refuses.  Found again only
+    once it has refused, so valid input pays no check per edge for it."""
+    i = next(i for i, (u, v) in enumerate(edges) if u == v or not (0 <= u < n and 0 <= v < n))
+    data = [lineno for lineno, raw in enumerate(lines, 1)
+            if raw.strip() and not raw.strip().startswith("#")]
+    return data[i + 1]  # data[0] is the header's line
 
 
 def format_edge_list(g: Graph) -> str:

@@ -220,40 +220,47 @@ def named(family: str, *params: int) -> Graph:
     """Canonical instances: kn, pn, cn, kab, rk2, figure1, jellyfish_fig3."""
     try:
         if family == "kn":
-            (n,) = params
-            _require(n >= 0, "kn needs n >= 0")
+            (n,) = _counted(params, 1)
+            _require(n >= 0, "needs n >= 0")
             return _bounded(n, n * (n - 1) // 2, combinations(range(n), 2))
         if family == "pn":
-            (n,) = params
-            _require(n >= 1, "pn needs n >= 1")
+            (n,) = _counted(params, 1)
+            _require(n >= 1, "needs n >= 1")
             return _bounded(n, n - 1, ((i, i + 1) for i in range(n - 1)))
         if family == "cn":
-            (n,) = params
-            _require(n >= 3, "cn needs n >= 3")
+            (n,) = _counted(params, 1)
+            _require(n >= 3, "needs n >= 3")
             return _bounded(n, n, ((i, (i + 1) % n) for i in range(n)))
         if family == "kab":
-            a, b = params
-            _require(a >= 0 and b >= 0, "kab needs a, b >= 0")
+            a, b = _counted(params, 2)
+            _require(a >= 0 and b >= 0, "needs a, b >= 0")
             return _bounded(a + b, a * b, ((i, a + j) for i in range(a) for j in range(b)))
         if family == "rk2":
-            (r,) = params
-            _require(r >= 1, "rk2 needs r >= 1")
+            (r,) = _counted(params, 1)
+            _require(r >= 1, "needs r >= 1")
             return _bounded(2 * r, r, ((2 * i, 2 * i + 1) for i in range(r)))
         if family == "figure1":
-            _require(not params, "figure1 takes no parameters")
+            _counted(params, 0)
             edges = [(0, i) for i in range(1, 9)]
             edges += [(1, 9), (8, 9), (4, 10), (5, 10), (2, 3), (6, 7)]
             return from_edge_list(11, edges)
         if family == "jellyfish_fig3":
-            _require(not params, "jellyfish_fig3 takes no parameters")
+            _counted(params, 0)
             edges = [(i, (i + 1) % 5) for i in range(5)]  # head 5-cycle
             for i in range(5):
                 edges += [(i, 5 + i), (i, 10 + i)]  # pendant leaf and inner child
                 edges += [(10 + i, 15 + 2 * i), (10 + i, 16 + 2 * i)]
             return from_edge_list(25, edges)
-    except ValueError as exc:
+    except BadParams as exc:
         raise BadParams(f"{family}: {exc}") from None
     raise BadParams(f"unknown family {family!r}")
+
+
+def _counted(params: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """params, if there are k of them."""
+    _require(len(params) == k,
+             f"takes {k or 'no'} parameter{'' if k == 1 else 's'}, got {len(params)}")
+    return params
 
 
 def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Graph:

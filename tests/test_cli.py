@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import marshal
 import os
@@ -18,11 +19,12 @@ from graphsym import amenable_iso, check_amenable, from_edge_list, relabel
 from graphsym.cli import FORK_MIN_BYTES, run
 from graphsym.formats import MAX_VERTICES, encode_graph6, format_edge_list, parse_edge_list
 from graphsym.generators import named, random_amenable
+from graphsym.graph import Graph
 from graphsym.refinement import _quotient
 
 from .conftest import disjoint_union, smallest_n_over_graph6_bound
 from .test_pinned_outputs import _gnm
-from .test_refinement_scale import gnm, with_one_edge_moved
+from .test_refinement_scale import gnm, recursive_tree, with_one_edge_moved
 
 
 @pytest.fixture
@@ -267,6 +269,33 @@ def test_gen_named_over_the_size_limits_is_refused(params, message):
     assert _run_limited("gen", "named", *params) == {"error": "BadParams", "message": message}
 
 
+@pytest.mark.parametrize("params, message", [
+    (["kn", "-1"], "kn: needs n >= 0"),
+    (["cn", "2"], "cn: needs n >= 3"),
+    (["figure1", "3"], "figure1: takes no parameters, got 1"),
+    (["jellyfish_fig3", "1"], "jellyfish_fig3: takes no parameters, got 1"),
+    (["pn"], "pn: takes 1 parameter, got 0"),
+    (["rk2", "1", "2"], "rk2: takes 1 parameter, got 2"),
+    (["kab", "3"], "kab: takes 2 parameters, got 1"),
+    (["mystery"], "unknown family 'mystery'"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_gen_named_bad_parameters_say_what_the_family_takes(capsys, params, message):
+    assert run(["--json", "gen", "named", *params]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "BadParams", "message": message}
+
+
+@pytest.mark.parametrize("edge, reason", [
+    ("0 7", "vertex 7 out of range [0, 3)"),
+    ("-1 2", "vertex -1 out of range [0, 3)"),
+    ("2 2", "self-loop at vertex 2"),
+], ids=["out_of_range", "negative", "self_loop"])
+def test_a_refused_edge_is_reported_at_its_line(tmp_path, capsys, edge, reason):
+    path = _write(tmp_path / "g.txt", f"# a comment\n\n3 2\n# another\n0 1\n\n   # indented\n{edge}\n")
+    assert run(["--json", "amenable", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "BadEdgeList", "message": f"bad edge list at line 8: {reason}"}
+
+
 def test_cells_reports_non_tree_component(tmp_path, capsys):
     from .test_cells import _star_cycle_graph
 
@@ -441,10 +470,14 @@ def test_help_exits_0(capsys):
 
 _LOADED = """
 import contextlib, io, json, sys
-from graphsym.cli import run
+from graphsym.cli import build_parser, run
+imported = set(sys.modules)
+if sys.argv[1:]:
+    build_parser().parse_args(sys.argv[1:])
+parsed = sorted(m for m in set(sys.modules) - imported if m.startswith("graphsym"))
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(sys.modules)]))
+print(json.dumps([code, parsed, sorted(sys.modules)]))
 """
 
 
@@ -463,17 +496,24 @@ def test_commands_load_only_the_modules_they_run(fig1_file, big_files):
     costly -= set(python("import sys; print(*sys.modules)").split())
 
     def loaded(*argv):
-        code, modules = json.loads(python(_LOADED, *argv))
+        code, parsed, modules = json.loads(python(_LOADED, *argv))
         assert code == 0
-        assert not costly & set(modules), argv
+        assert parsed == [], argv  # the parser refers to commands, importing none
+        if argv[:1] != ("oracle",):  # the brute-force cross-check is written with dataclasses
+            assert not costly & set(modules), argv
         return {m for m in modules if m.startswith("graphsym.")}
 
     base = loaded()
     assert not base & {"graphsym.oracle", "graphsym.generators", "graphsym.symmetry"}
-    assert loaded("amenable", fig1_file) == base
+    for command in ("refine", "cells", "amenable"):
+        assert loaded(command, fig1_file) == base, command
     assert loaded("iso", fig1_file, fig1_file) == base
     assert loaded("iso", big_files["g"], big_files["copy"]) == base  # forks where it can
-    assert loaded("dist", fig1_file) == base | {"graphsym.symmetry"}
+    for command in ("dist", "fix"):
+        assert loaded(command, fig1_file) == base | {"graphsym.symmetry"}, command
+    assert loaded("oracle", "aut", fig1_file, "--max-oracle-n", "11") == base | {"graphsym.oracle"}
+    for argv in (["named", "kn", "3"], ["random", "--n", "5"]):
+        assert loaded("gen", *argv) == base | {"graphsym.generators"}, argv
 
 
 PAYLOAD_COMMANDS = [["cells"], ["dist", "--components"], ["fix", "--components"]]
@@ -505,6 +545,56 @@ def test_json_mode_builds_no_indented_text(fig1_file, capsys, monkeypatch):
     assert run(["cells", fig1_file]) == 0  # the counter sees the human text
     assert len(indented) == 1
     capsys.readouterr()
+
+
+def _pinned_cli_inputs() -> dict[str, Graph]:
+    """File name -> graph: figure 1, C6, the first pinned G(n, m) draw that
+    fails each of conditions A-D, an amenable atlas graph as graph6 and a seeded
+    random recursive tree of 2000 vertices."""
+    inputs = {"fig1.txt": named("figure1"), "c6.txt": named("cn", 6)}
+    for g in _gnm():
+        verdict = check_amenable(g)
+        if not verdict.amenable:
+            inputs.setdefault(f"fails_{verdict.failure.condition.value}.txt", g)
+    atlas = nx.graph_atlas(1001)  # amenable, D = Fix = 2
+    inputs["atlas.g6"] = from_edge_list(atlas.number_of_nodes(), list(atlas.edges()))
+    inputs["tree.txt"] = recursive_tree(random.Random(11), 2000)
+    assert len(inputs) == 8
+    return inputs
+
+
+CLI_DIGEST = "121cd9037b7bf818b5f20d5dc1424651cd587f329f1323a3493408e320c39fad"
+
+
+def test_cli_outputs_match_pinned_digest(tmp_path, capsys, monkeypatch):
+    """Exit code, stdout and stderr of every graph command, in human and
+    --json mode, on a fixed set of inputs: a change meant to keep the CLI's
+    bytes is checked by the suite.  A change that alters an output on
+    purpose recomputes the digest and says why."""
+    monkeypatch.chdir(tmp_path)  # relative names keep paths out of the outputs
+    inputs = _pinned_cli_inputs()
+    names = list(inputs)
+    rng = random.Random(3)
+    for name, g in inputs.items():
+        stem, ext = name.rsplit(".", 1)
+        perm = rng.sample(range(g.n), g.n)
+        for path, h in ((name, g), (f"{stem}.perm.{ext}", relabel(g, perm))):
+            _write(tmp_path / path, encode_graph6(h) + "\n" if ext == "g6" else format_edge_list(h))
+    runs = []
+    for i, name in enumerate(names):
+        stem, ext = name.rsplit(".", 1)
+        runs += [[*command, name] for command in (
+            ["refine"], ["cells"], ["amenable"], ["dist"], ["fix"],
+            ["dist", "--components"], ["fix", "--components"],
+            ["oracle", "aut"], ["oracle", "dist"], ["oracle", "fix"], ["oracle", "count"])]
+        runs += [["iso", name, other] for other in
+                 (name, f"{stem}.perm.{ext}", names[(i + 1) % len(names)])]
+    h = hashlib.sha256()
+    for argv in runs:
+        for flags in ([], ["--json"]):
+            code = run([*flags, *argv])
+            h.update(json.dumps([flags + argv, code, *capsys.readouterr()]).encode() + b"\n")
+    assert h.hexdigest() == CLI_DIGEST
 
 
 # ------------------------------------------------- iso with a forked child
