@@ -21,9 +21,8 @@ _EXPORTS = {
         "refine", "stable_partition",
     ),
     "symmetry": (
-        "HeadKind", "HeadShape", "SymmetryReport", "analyze", "component_report",
-        "dist_number", "fix_number", "head_invariants", "head_of_component",
-        "leg_dist_count", "leg_fix", "min_c_binom",
+        "SymmetryReport", "analyze", "component_report", "dist_number", "fix_number",
+        "head", "leg_dist_count", "leg_fix", "min_c_binom",
     ),
 }
 _SUBMODULES = ("errors", "generators", "oracle")

@@ -26,22 +26,16 @@ from .cells import (
 from .graph import Graph
 from .refinement import Partition, _quotient, stable_partition
 
-class Condition(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-
 
 class Failure(NamedTuple):
-    condition: Condition
+    condition: str  # the letter of the condition that fails, "A" to "D"
     cell: int | None = None
     pair: tuple[int, int] | None = None
     component: int | None = None
     reason: str | None = None
 
     def to_json(self) -> dict:
-        out: dict = {"condition": self.condition.value}
+        out: dict = {"condition": self.condition}
         for key in ("cell", "pair", "component", "reason"):
             val = getattr(self, key)
             if val is not None:
@@ -50,7 +44,7 @@ class Failure(NamedTuple):
 
     def __str__(self) -> str:
         """The certificate as text, e.g. ``condition A fails at cell 0``."""
-        text = f"condition {self.condition.value} fails"
+        text = f"condition {self.condition} fails"
         if self.component is not None:
             return f"{text} in component {self.component}: {self.reason}"
         if self.pair is not None:
@@ -90,11 +84,11 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
     # every cell kind but OTHER satisfies A, and every pair kind but OTHER B
     if CellKind.OTHER in cg.cell_kinds:
         return AmenabilityVerdict(amenable=False, failure=Failure(
-            condition=Condition.A, cell=cg.cell_kinds.index(CellKind.OTHER)))
+            condition="A", cell=cg.cell_kinds.index(CellKind.OTHER)))
     bad_pairs = [key for key, kind in cg.pair_kinds.items() if kind is PairKind.OTHER]
     if bad_pairs:
         return AmenabilityVerdict(amenable=False, failure=Failure(
-            condition=Condition.B, pair=min(bad_pairs)))
+            condition="B", pair=min(bad_pairs)))
 
     components = anisotropic_components(cg)
     findings = [(cond, comp.cells[0], idx, reason)
@@ -103,10 +97,8 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
     if findings:
         cond, low, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
         idx += low - cg.nonsingleton.index(low)  # the singleton cells below low
-        return AmenabilityVerdict(
-            amenable=False,
-            failure=Failure(condition=Condition(cond), component=idx, reason=reason),
-        )
+        return AmenabilityVerdict(amenable=False, failure=Failure(
+            condition=cond, component=idx, reason=reason))
     return AmenabilityVerdict(amenable=True, cell_graph=cg, components=components)
 
 

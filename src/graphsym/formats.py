@@ -1,8 +1,10 @@
 """Graph interchange formats: edge-list text and graph6.
 
 Edge-list format: '#' starts a comment line; the first data line is "n m";
-each of the following m lines is "u v" with 0-based endpoints.  A header
-with more than MAX_VERTICES vertices is refused before anything is built.
+each of the following m lines is "u v" with 0-based endpoints.  Numbers
+are ASCII decimal digits with an optional '-' sign.  A negative value, or
+a header with more than MAX_VERTICES vertices, is refused before anything
+is built.
 
 graph6 follows McKay's specification: one printable ASCII line, vertex count
 followed by the upper triangle of the adjacency matrix in column-major order,
@@ -31,6 +33,8 @@ _BYTE_TO_BITS = [""] * 63 + [f"{v:06b}" for v in range(64)]  # byte v + 63 -> v'
 def parse_edge_list(text: str) -> tuple[Graph, int]:
     """The graph of an edge-list text and how many of its edges were
     duplicates (either orientation), which the graph holds once."""
+    # plain text, as _plain_int takes it, pays no check per token
+    to_int = int if text.isascii() and "+" not in text and "_" not in text else _plain_int
     lines = text.splitlines()
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -43,7 +47,7 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
             if len(parts) != 2:
                 raise BadEdgeList(lineno, f"expected 'n m' header, got {line!r}")
             try:
-                header = (int(parts[0]), int(parts[1]))
+                header = (to_int(parts[0]), to_int(parts[1]))
             except ValueError:
                 raise BadEdgeList(lineno, f"non-integer header {line!r}") from None
             if header[0] < 0 or header[1] < 0:
@@ -54,7 +58,7 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
         if len(parts) != 2:
             raise BadEdgeList(lineno, f"expected 'u v', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((to_int(parts[0]), to_int(parts[1])))
         except ValueError:
             raise BadEdgeList(lineno, f"non-integer endpoints {line!r}") from None
     if header is None:
@@ -67,6 +71,13 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
     except (OutOfRange, SelfLoop) as exc:
         raise BadEdgeList(_refused_line(lines, n, edges), str(exc)) from None
     return g, len(edges) - g.m
+
+
+def _plain_int(token: str) -> int:
+    """int(token), refusing the '+', '_' and non-ASCII digits int() reads too."""
+    if not token.isascii() or "+" in token or "_" in token:
+        raise ValueError(token)
+    return int(token)
 
 
 def _refused_line(lines: list[str], n: int, edges: list[tuple[int, int]]) -> int:

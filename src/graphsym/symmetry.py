@@ -1,18 +1,18 @@
 """Distinguishing and fixing numbers of amenable graphs.
 
 Per anisotropic component the computation never materializes the modified
-component graph: the head invariants come from the root cell's kind and
-size, and the leg values come from recursions that fold over the walk order
-recognition stored on the Component, children before parents, with child
-cells as the isomorphism classes and multiplicities equal to the size
-ratios recorded there.  Counts are evaluated in saturating arithmetic
-capped just above the decision threshold so the linearithmic budget holds;
-the big-integer recursion that checks them lives in the oracle module.
+component graph: ``head``, the one table of head invariants, reads them
+off the root cell's kind and size, and the leg values come from recursions
+that fold over the walk order recognition stored on the Component, children
+before parents, with child cells as the isomorphism classes and
+multiplicities equal to the size ratios recorded there.  Counts are
+evaluated in saturating arithmetic capped just above the decision
+threshold so the linearithmic budget holds; the big-integer recursion that
+checks them lives in the oracle module.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from math import isqrt
 from typing import NamedTuple, Sequence
 
@@ -20,27 +20,6 @@ from .amenability import AmenabilityVerdict, check_amenable
 from .cells import CellGraph, CellKind, Component, Components
 from .errors import BadCap, InternalError, NotAmenable
 from .graph import Graph
-
-
-class HeadShape(Enum):
-    COMPLETE = "complete"
-    FIVE_CYCLE = "five_cycle"
-    CO_MATCHING = "co_matching"
-
-
-class HeadKind(NamedTuple):
-    """What the root cell looks like after its normalizing complement."""
-
-    shape: HeadShape
-    size: int
-
-    @property
-    def r(self) -> int:
-        """Number of matched pairs; co-matching heads only."""
-        return self.size // 2
-
-    def to_json(self) -> dict:
-        return {"shape": self.shape.value, "size": self.size}
 
 
 def min_c_binom(r: int) -> int:
@@ -70,37 +49,23 @@ def _binom_capped(f: int, m: int, cap: int) -> int:
     return val
 
 
-def head_of_component(cg: CellGraph, comp: Component) -> HeadKind:
-    """Head shape after complementing an empty or matching root cell.
-
-    Raises InternalError when the root cell's size cannot have its kind.
-    """
-    kind = cg.cell_kinds[comp.root]
-    size = cg.cell_sizes[comp.root]
-    if kind in (CellKind.EMPTY, CellKind.COMPLETE):
+def head(kind: CellKind, size: int) -> tuple[CellKind, int, int]:
+    """(shape, D, Fix) of the head a root cell of this kind and size gives,
+    the shape being the kind the root's normalizing complement gives it.
+    Raises InternalError when the size cannot have its kind."""
+    if kind is CellKind.EMPTY or kind is CellKind.COMPLETE:
         if size < 1:
             raise InternalError("empty complete head")
-        return HeadKind(shape=HeadShape.COMPLETE, size=size)
+        return CellKind.COMPLETE, size, size - 1
     if kind is CellKind.FIVE_CYCLE:
         if size != 5:
             raise InternalError(f"five-cycle head of size {size}")
-        return HeadKind(shape=HeadShape.FIVE_CYCLE, size=size)
-    if kind in (CellKind.MATCHING, CellKind.CO_MATCHING):
+        return kind, 3, 2
+    if kind is CellKind.MATCHING or kind is CellKind.CO_MATCHING:
         if size < 4 or size % 2:
             raise InternalError(f"co-matching head of size {size}")
-        return HeadKind(shape=HeadShape.CO_MATCHING, size=size)
-    raise InternalError(
-        f"root cell {comp.root} has unsupported kind {kind.value} (upstream amenability bug)"
-    )
-
-
-def head_invariants(head: HeadKind) -> tuple[int, int]:
-    """(distinguishing number, fixing number) of the head graph."""
-    if head.shape is HeadShape.COMPLETE:
-        return head.size, head.size - 1
-    if head.shape is HeadShape.FIVE_CYCLE:
-        return 3, 2
-    return min_c_binom(head.r), head.r
+        return CellKind.CO_MATCHING, min_c_binom(size // 2), size // 2
+    raise InternalError(f"root cell has unsupported kind {kind.value} (upstream amenability bug)")
 
 
 def leg_dist_count(sizes: Sequence[int], comp: Component, c: int, cap: int) -> int:
@@ -144,7 +109,7 @@ def leg_fix(comp: Component) -> int:
 class ComponentReport(NamedTuple):
     cells: tuple[int, ...]
     root: int
-    head: HeadKind
+    head: tuple[CellKind, int]  # the head's shape and the root's size
     d_head: int
     fix_head: int
     leg_fix: int
@@ -154,14 +119,14 @@ class ComponentReport(NamedTuple):
     def to_json(self) -> dict:
         return {
             "cells": list(self.cells), "root": self.root,
-            "head": self.head.to_json(), "d_head": self.d_head,
+            "head": {"shape": self.head[0].value, "size": self.head[1]}, "d_head": self.d_head,
             "fix_head": self.fix_head, "leg_fix": self.leg_fix,
             "dist": self.dist, "fix": self.fix,
         }
 
 
 def _singleton_report(cell: int) -> ComponentReport:  # a head K1 without legs
-    return ComponentReport(cells=(cell,), root=cell, head=HeadKind(HeadShape.COMPLETE, 1),
+    return ComponentReport(cells=(cell,), root=cell, head=(CellKind.COMPLETE, 1),
                            d_head=1, fix_head=0, leg_fix=0, dist=1, fix=0)
 
 
@@ -214,18 +179,19 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
 
     D is the least c whose leg count reaches D(head); Fix is Fix(head) when
     the legs are rigid, else |head| times the leg fixing number.  The
-    component must be a tree whose size ratios recognition has checked.
+    component must pass recognition's checks of conditions C and D.
     """
-    if not comp.is_tree or comp.decreasing:
-        raise InternalError(f"component rooted at cell {comp.root} is not a monotone tree")
-    head = head_of_component(cg, comp)
-    d_head, fix_head = head_invariants(head)
+    if findings := comp.findings():
+        raise InternalError("component rooted at cell %d fails condition %s: %s"
+                            % (comp.root, *findings[0][:2]))
+    size = cg.cell_sizes[comp.root]
+    shape, d_head, fix_head = head(cg.cell_kinds[comp.root], size)
     legs = leg_fix(comp)
     return ComponentReport(
-        cells=comp.cells, root=comp.root, head=head,
+        cells=comp.cells, root=comp.root, head=(shape, size),
         d_head=d_head, fix_head=fix_head, leg_fix=legs,
         dist=_least_colors(cg.cell_sizes, comp, d_head),
-        fix=fix_head if legs == 0 else head.size * legs,
+        fix=fix_head if legs == 0 else size * legs,
     )
 
 

@@ -555,7 +555,7 @@ def _pinned_cli_inputs() -> dict[str, Graph]:
     for g in _gnm():
         verdict = check_amenable(g)
         if not verdict.amenable:
-            inputs.setdefault(f"fails_{verdict.failure.condition.value}.txt", g)
+            inputs.setdefault(f"fails_{verdict.failure.condition}.txt", g)
     atlas = nx.graph_atlas(1001)  # amenable, D = Fix = 2
     inputs["atlas.g6"] = from_edge_list(atlas.number_of_nodes(), list(atlas.edges()))
     inputs["tree.txt"] = recursive_tree(random.Random(11), 2000)
@@ -837,7 +837,8 @@ def _mutated(data: bytes, rng: random.Random) -> bytes:
 def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, two_cpus):
     """Seeded byte mutations of an edge list and a graph6 file through every
     graph command, and of a file above FORK_MIN_BYTES through iso either
-    side: each run exits 0, 1 or 2 with one JSON object."""
+    side: each run exits 0, 1 or 2 with one JSON object.  Substitutions of
+    what int() reads beyond plain digits exit 1 at their line."""
     rng = random.Random(2024)
     runs = []
     for name, text in (("fig1.txt", format_edge_list(named("figure1"))),
@@ -854,6 +855,17 @@ def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, tw
                 (line,) = capsys.readouterr().out.splitlines()
                 assert code in (0, 1, 2), (argv, path.read_bytes())
                 assert isinstance(json.loads(line), dict), argv
+    # what int() reads beyond the format's digits: a sign, a digit separator
+    # and a non-ASCII digit, each refused at its line
+    text = format_edge_list(named("figure1"))
+    for old, new, line in (("11 14", "+11 14", 1), ("\n0 1\n", "\n0 +1\n", 2),
+                           ("\n0 1\n", "\n0 1_0\n", 2), ("\n1 9\n", "\n1 \u0669\n", 10)):
+        path = tmp_path / "substituted.txt"
+        path.write_bytes(text.replace(old, new, 1).encode())
+        for command in ("refine", "cells", "amenable", "dist", "fix"):
+            assert run(["--json", command, str(path)]) == 1, (old, new, command)
+            error = json.loads(capsys.readouterr().out)
+            assert error["error"] == "BadEdgeList" and f"at line {line}:" in error["message"]
     with open(big_files["g"], "rb") as fh:
         big = fh.read()
     path = tmp_path / "mutated-big.txt"

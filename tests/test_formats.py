@@ -139,6 +139,10 @@ def test_edge_list_errors():
         ("# c\n\n1 2 3\n0 1\n", 3, "expected 'n m' header, got '1 2 3'"),
         ("-1 0\n", 1, "negative n or m"),
         ("# x\n2 -1\n", 2, "negative n or m"),
+        ("+3 1\n0 1\n", 1, "non-integer header '+3 1'"),
+        ("3 1\n0 \u0661\n", 2, "non-integer endpoints '0 \u0661'"),  # an Arabic-Indic 1
+        ("3 1\n0 +1\n", 2, "non-integer endpoints '0 +1'"),
+        ("# +1_0\n3 1\n0 1_0\n", 3, "non-integer endpoints '0 1_0'"),
     ]
     for text, line, reason in cases:
         assert _error(BadEdgeList, parse_edge_list, text) == (

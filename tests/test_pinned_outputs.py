@@ -91,5 +91,5 @@ def test_outputs_match_pinned_digest(family):
 
 
 def test_gnm_draws_fail_every_condition():
-    failed = {v.failure.condition.value for v in map(check_amenable, _gnm()) if not v.amenable}
+    failed = {v.failure.condition for v in map(check_amenable, _gnm()) if not v.amenable}
     assert failed == {"A", "B", "C", "D"}

@@ -10,8 +10,6 @@ from graphsym import (
     CellGraph,
     CellKind,
     Component,
-    HeadKind,
-    HeadShape,
     Partition,
     analyze,
     check_amenable,
@@ -19,8 +17,7 @@ from graphsym import (
     dist_number,
     fix_number,
     from_edge_list,
-    head_invariants,
-    head_of_component,
+    head,
     leg_dist_count,
     leg_fix,
     min_c_binom,
@@ -61,22 +58,42 @@ def test_min_c_binom_is_tight():
 
 
 def test_head_invariants():
-    assert head_invariants(HeadKind(HeadShape.COMPLETE, 5)) == (5, 4)
-    assert head_invariants(HeadKind(HeadShape.COMPLETE, 1)) == (1, 0)
-    assert head_invariants(HeadKind(HeadShape.FIVE_CYCLE, 5)) == (3, 2)
-    assert head_invariants(HeadKind(HeadShape.CO_MATCHING, 4)) == (3, 2)
-    assert head_invariants(HeadKind(HeadShape.CO_MATCHING, 14)) == (5, 7)
+    assert head(CellKind.COMPLETE, 5) == (CellKind.COMPLETE, 5, 4)
+    assert head(CellKind.COMPLETE, 1) == (CellKind.COMPLETE, 1, 0)
+    assert head(CellKind.FIVE_CYCLE, 5) == (CellKind.FIVE_CYCLE, 3, 2)
+    assert head(CellKind.CO_MATCHING, 4) == (CellKind.CO_MATCHING, 3, 2)
+    assert head(CellKind.CO_MATCHING, 14) == (CellKind.CO_MATCHING, 5, 7)
 
 
 def test_head_of_component(figure1):
     verdict = check_amenable(figure1)
     cg = verdict.cell_graph
     comps = verdict.components
-    assert head_of_component(cg, comps[2]) == HeadKind(HeadShape.CO_MATCHING, 4)
-    assert head_of_component(cg, comps[1]) == HeadKind(HeadShape.COMPLETE, 2)
+    assert component_report(cg, comps[2]).head == (CellKind.CO_MATCHING, 4)
+    assert component_report(cg, comps[1]).head == (CellKind.COMPLETE, 2)
 
     v5 = check_amenable(named("kn", 5))
-    assert head_of_component(v5.cell_graph, v5.components[0]) == HeadKind(HeadShape.COMPLETE, 5)
+    assert component_report(v5.cell_graph, v5.components[0]).head == (CellKind.COMPLETE, 5)
+
+
+def _head_graphs():
+    """(graph, shape) for each head graph the table names: K_k, C5, and rK2
+    and its complement, the co-matching."""
+    for k in range(1, 7):
+        yield named("kn", k), CellKind.COMPLETE
+    yield named("cn", 5), CellKind.FIVE_CYCLE
+    for r in (2, 3, 4):
+        yield named("rk2", r), CellKind.CO_MATCHING
+        yield complement(named("rk2", r)), CellKind.CO_MATCHING
+
+
+def test_head_table_matches_the_definitions():
+    """head's D and Fix equal the brute-force numbers of the head graph."""
+    for g, shape in _head_graphs():
+        cg = check_amenable(g).cell_graph
+        assert cg.cell_sizes == (g.n,), g  # the head is the whole graph
+        assert head(cg.cell_kinds[0], g.n) == (
+            shape, oracle.dist_number_bf(g), oracle.fix_number_bf(g)), g
 
 
 def test_leg_count_branched_example():
@@ -170,7 +187,7 @@ def test_unsupported_root_kind_is_loud():
     comp = Component(cells=(0,), root=0, order=(0,), parent={},
                      multiplicity={}, het_cells=(0,))
     with pytest.raises(InternalError, match="unsupported kind"):
-        head_of_component(cg, comp)
+        component_report(cg, comp)
 
 
 def test_head_of_component_checks_the_root_size(figure1):
@@ -179,11 +196,13 @@ def test_head_of_component_checks_the_root_size(figure1):
     kinds = list(cg.cell_kinds)
     kinds[comp.root] = CellKind.FIVE_CYCLE
     with pytest.raises(InternalError, match="five-cycle head of size 4"):
-        head_of_component(cg._replace(cell_kinds=tuple(kinds)), comp)
+        component_report(cg._replace(cell_kinds=tuple(kinds)), comp)
     verdict = check_amenable(named("kn", 3))  # one cell of 3 vertices
     cg, (comp,) = verdict.cell_graph, verdict.components
     with pytest.raises(InternalError, match="co-matching head of size 3"):
-        head_of_component(cg._replace(cell_kinds=(CellKind.CO_MATCHING,)), comp)
+        component_report(cg._replace(cell_kinds=(CellKind.CO_MATCHING,)), comp)
+    with pytest.raises(InternalError, match="empty complete head"):
+        head(CellKind.EMPTY, 0)
 
 
 def test_component_report_rejects_a_bad_edge(figure1):
@@ -200,6 +219,16 @@ def test_component_report_rejects_a_bad_edge(figure1):
                        multiplicity={})
     with pytest.raises(InternalError):
         component_report(verdict.cell_graph, cyclic)
+
+
+def test_component_report_rejects_a_condition_d_failure(figure1):
+    verdict = check_amenable(figure1)
+    comp = verdict.components[1]  # cells 1 and 3, a star pair with no heterogeneous cell
+    (child,) = comp.order[1:]
+    for het, reason in (((child,), "not of minimum size"),
+                        ((comp.root, child), "more than one heterogeneous cell")):
+        with pytest.raises(InternalError, match=f"fails condition D: .*{reason}"):
+            component_report(verdict.cell_graph, comp._replace(het_cells=het))
 
 
 def test_degenerate_sizes():
