@@ -115,9 +115,15 @@ def amenable_iso(g: Graph, h: Graph) -> IsoVerdict:
     of one input; HeuristicEquivalent means color refinement found no
     difference but neither graph is amenable.
 
-    g is judged on its own stable partition, and only g: if h were amenable,
-    CR equivalence would make g isomorphic to h and hence amenable too.
+    Two stages: sorted degree sequences that differ answer NotIsomorphic
+    before either graph is refined, since the degree partition is where
+    refinement starts and so the quotients would differ too; otherwise both
+    quotients are built and compared.  g is judged on its own stable
+    partition, and only g: if h were amenable, CR equivalence would make g
+    isomorphic to h and hence amenable too.
     """
+    if g.degree_sequence() != h.degree_sequence():
+        return IsoVerdict.NOT_ISOMORPHIC
     return iso_from_quotients(g, *_quotient(g), _quotient(h)[1])
 
 

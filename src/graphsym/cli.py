@@ -23,12 +23,16 @@ collector as it found it and returns the exit code.
 Each command imports the modules it runs when it runs, so an answer does
 not pay for loading the symmetry, oracle or generator code it never uses.
 
-``iso`` loads and refines its second graph in a forked child while it does
-the first, when both inputs are regular files of at least FORK_MIN_BYTES,
-the process may run on two or more CPUs and the platform has ``os.fork``:
-the two refinements are independent and meet only at the comparison.  If
-the fork or the child fails in any way, the second graph is loaded in
-process, so every answer, error and exit code is the one without a child.
+``iso`` answers NotIsomorphic on differing sorted degree sequences before
+either graph is refined, and otherwise compares the two quotients.  It
+loads and refines its second graph in a forked child while it does the
+first, when both inputs are regular files of at least FORK_MIN_BYTES, the
+process may run on two or more CPUs and the platform has ``os.fork``.  The
+child sends its degree sequence as one frame before it refines, and the
+parent reads it before refining the first graph; without a child the
+stages keep that order.  If the fork or the child fails in any way, the
+second graph is loaded in process, so every answer, error and exit code
+is the one without a child.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ import marshal
 import os
 import stat
 import sys
+from typing import BinaryIO
 
-from .amenability import check_amenable, iso_from_quotients
+from .amenability import IsoVerdict, check_amenable, iso_from_quotients
 from .cells import anisotropic_components, cell_graph_of_equitable
 from .errors import (
     BadEdgeList, BadGraph6, BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge,
@@ -166,12 +171,15 @@ def _fork_pays(*paths: str) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _fork_quotient(path: str, fmt: str | None) -> tuple[int, int] | None:
-    """Fork a child that loads the graph at path and writes its quotient
-    dict, marshalled, to a pipe: (pid, read end), or None if the fork fails.
+def _fork_quotient(path: str, fmt: str | None) -> tuple[int, BinaryIO] | None:
+    """Fork a child that loads the graph at path and writes to a pipe, each
+    marshalled, its degree sequence as one frame (an 8-byte length, then the
+    bytes) and then its quotient dict: (pid, read end), or None if the fork
+    fails.
 
-    The child writes only once the whole quotient is built, and leaves with
-    os._exit, never returning into the caller, exit code 0 on success."""
+    The child flushes the frame before it refines, writes the quotient only
+    once it is built, and leaves with os._exit, never returning into the
+    caller, exit code 0 on success."""
     try:
         fd, w = os.pipe()
     except OSError:
@@ -186,54 +194,78 @@ def _fork_quotient(path: str, fmt: str | None) -> tuple[int, int] | None:
         code = 1
         try:
             os.close(fd)
-            data = marshal.dumps(_quotient(_load_graph(path, fmt))[1])
+            h = _load_graph(path, fmt)
             with open(w, "wb") as out:
-                out.write(data)
+                degrees = marshal.dumps(h.degree_sequence())
+                out.write(len(degrees).to_bytes(8, "little") + degrees)
+                out.flush()
+                out.write(marshal.dumps(_quotient(h)[1]))
             code = 0
         finally:
             os._exit(code)
     os.close(w)
-    return pid, fd
+    return pid, open(fd, "rb")
 
 
-def _received(pid: int, fd: int) -> dict | None:
-    """The quotient the child sent, or None if it failed in any way; the
-    child is reaped."""
-    try:
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0:
-        return None
+def _unmarshalled(data: bytes):
+    """The value marshalled in data, or None if data is not one.  The
+    child's bytes are read whole first: marshal.load would read the pipe
+    piece by piece."""
     try:
         return marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         return None
 
 
-def _kill(pid: int, fd: int) -> None:
+def _degrees_sent(pipe: BinaryIO) -> tuple[int, ...] | None:
+    """The degree sequence in the child's frame, or None if the frame is
+    missing or unreadable."""
+    size = pipe.read(8)
+    return _unmarshalled(pipe.read(int.from_bytes(size, "little"))) if len(size) == 8 else None
+
+
+def _received(pid: int, pipe: BinaryIO) -> dict | None:
+    """The quotient the child sent after its frame, or None if it failed in
+    any way; the child is reaped."""
+    try:
+        with pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return _unmarshalled(data) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _kill(pid: int, pipe: BinaryIO) -> None:
     import signal
 
-    os.close(fd)
+    pipe.close()
     os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still the child
     os.waitpid(pid, 0)
 
 
 def _cmd_iso(args) -> tuple[dict, str | None]:
-    forks = _fork_pays(args.graph, args.other)
-    child = _fork_quotient(args.other, args.format) if forks else None
+    child = _fork_quotient(args.other, args.format) if _fork_pays(args.graph, args.other) else None
+    h = None
     try:  # the first graph's errors come first, as without a child
         g = _load_graph(args.graph, args.format)
-        raw, q_g = _quotient(g)
-    except BaseException:
-        if child is not None:
+        degrees = None if child is None else _degrees_sent(child[1])
+        if degrees is None:  # no child, or no frame: loading here raises what it met, if anything
+            h = _load_graph(args.other, args.format)
+            degrees = h.degree_sequence()
+        if degrees != g.degree_sequence():  # so the degree partitions, and the quotients, differ
+            verdict = IsoVerdict.NOT_ISOMORPHIC
+        else:
+            raw, q_g = _quotient(g)
+            q_h = None
+            if h is None:  # the child sent its frame; _received reaps it
+                (pid, pipe), child = child, None
+                q_h = _received(pid, pipe)
+            if q_h is None:  # h was loaded here, or the child failed after its frame
+                q_h = _quotient(_load_graph(args.other, args.format) if h is None else h)[1]
+            verdict = iso_from_quotients(g, raw, q_g, q_h)
+    finally:
+        if child is not None:  # failed, or its quotient is not needed
             _kill(*child)
-        raise
-    q_h = None if child is None else _received(*child)
-    if q_h is None:  # no child, or it failed: loading here raises what it met, if anything
-        q_h = _quotient(_load_graph(args.other, args.format))[1]
-    verdict = iso_from_quotients(g, raw, q_g, q_h)
     return {"verdict": verdict.value}, verdict.value
 
 

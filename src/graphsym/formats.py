@@ -128,15 +128,19 @@ def decode_graph6(text: str) -> Graph:
     padding = bits.find("1", nbits)
     if padding >= 0:
         raise BadGraph6(offset + padding // 6, "nonzero padding bits")
-    edges: list[tuple[int, int]] = []
+    # graph6 gives each edge once and in range, column by column: row v gets
+    # its lower neighbours in column v, then its higher ones in later
+    # columns, so every row comes out strictly increasing with no check or sort
+    rows: list[list[int]] = [[] for _ in range(n)]
     stop = 0
     for j in range(1, n):  # column j: bit start + i is the pair (i, j), i < j
         start, stop = stop, stop + j
         k = bits.find("1", start, stop)
         while k >= 0:
-            edges.append((k - start, j))
+            rows[k - start].append(j)
+            rows[j].append(k - start)
             k = bits.find("1", k + 1, stop)
-    return from_edge_list(n, edges)
+    return Graph(n, bits.count("1"), tuple(map(tuple, rows)))  # the padding is all zeros
 
 
 def encode_graph6(g: Graph) -> str:

@@ -33,7 +33,7 @@ class Graph(NamedTuple):
                     yield (u, v)
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(row) for row in self.adjacency))
+        return tuple(sorted(map(len, self.adjacency)))
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -245,6 +245,10 @@ def _quotient(g: Graph) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
 def cr_iso_test(g: Graph, h: Graph) -> CrVerdict:
     """The color-refinement isomorphism test.  Distinguished is always sound
     (the graphs are not isomorphic); CrEquivalent is definitive only when at
-    least one input is amenable, see the amenability module."""
-    same = _quotient(g)[1] == _quotient(h)[1]
+    least one input is amenable, see the amenability module.
+
+    Sorted degree sequences that differ answer Distinguished before either
+    graph is refined: refinement starts from the degree partition, so the
+    quotients would differ too.  Otherwise the two quotients are compared."""
+    same = g.degree_sequence() == h.degree_sequence() and _quotient(g)[1] == _quotient(h)[1]
     return CrVerdict(CrOutcome.CR_EQUIVALENT if same else CrOutcome.DISTINGUISHED)

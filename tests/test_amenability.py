@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsym import (
+    CrOutcome,
     IsoVerdict,
     PairKind,
     amenable_iso,
@@ -182,13 +183,17 @@ def test_amenable_iso_refines_once(monkeypatch):
 def test_the_iso_path_numbers_g_only_when_the_quotients_agree(monkeypatch):
     """iso_from_quotients never refines, and numbers g's stable partition
     (Partition.from_colors) once when the quotients agree, never when they
-    differ.  cr_iso_test numbers neither graph, and amenable_iso never h."""
+    differ.  cr_iso_test numbers neither graph, and amenable_iso never h.
+    A pair with differing degree sequences is rejected by both tests before
+    either graph is refined."""
     from graphsym import amenability, refinement
 
     g, _ = random_amenable(12, seed=3)
     c3 = named("cn", 3)
+    p2_c4 = disjoint_union(named("pn", 2), named("cn", 4))  # the degrees of P6, not its quotient
     cases = [(g, relabel(g, list(range(g.n))[::-1]), IsoVerdict.ISOMORPHIC),
              (g, named("kn", g.n), IsoVerdict.NOT_ISOMORPHIC),
+             (named("pn", 6), p2_c4, IsoVerdict.NOT_ISOMORPHIC),
              (named("cn", 6), disjoint_union(c3, c3), IsoVerdict.HEURISTIC_EQUIVALENT)]
     quotients = [(g, h, *refinement._quotient(g), refinement._quotient(h)[1], expected)
                  for g, h, expected in cases]
@@ -200,14 +205,19 @@ def test_the_iso_path_numbers_g_only_when_the_quotients_agree(monkeypatch):
         return number(colors)
 
     def refines(*_args):
-        raise AssertionError("iso_from_quotients refined")
+        raise AssertionError("refined")
 
     monkeypatch.setattr(refinement.Partition, "from_colors", classmethod(counted))
+    rejected = 0
     for g, h, raw, q_g, q_h, expected in quotients:
         once = [] if expected is IsoVerdict.NOT_ISOMORPHIC else [raw]
         with monkeypatch.context() as patched:
             patched.setattr(refinement, "_refine_colors", refines)
             assert amenability.iso_from_quotients(g, raw, q_g, q_h) is expected
+            if g.degree_sequence() != h.degree_sequence():
+                rejected += 1
+                assert cr_iso_test(g, h).outcome is CrOutcome.DISTINGUISHED
+                assert amenable_iso(g, h) is expected
         assert numbered == once
         numbered.clear()
         cr_iso_test(g, h)
@@ -215,3 +225,4 @@ def test_the_iso_path_numbers_g_only_when_the_quotients_agree(monkeypatch):
         assert amenable_iso(g, h) is expected
         assert numbered == once  # g's raw ids, and h's never
         numbered.clear()
+    assert rejected == 1

@@ -224,3 +224,27 @@ def test_atlas_cr_iso_test_matches_the_union_reference(atlas):
         assert equivalent == union_cr_equivalent(g, h), (g, h)
         outcomes[equivalent] += 1
     assert outcomes[False] > 0 and outcomes[True] > 1253
+
+
+def test_degree_reject_gives_the_verdicts_of_the_quotients(atlas):
+    """amenable_iso and cr_iso_test answer a pair with differing degree
+    sequences before either graph is refined.  On every pair of atlas
+    graphs of one order, such a pair has differing quotients too, and both
+    tests give the verdicts that the full quotients give."""
+    from graphsym.amenability import iso_from_quotients
+
+    rows, _shared = atlas
+    by_order: dict[int, list] = {}
+    for g, _ok, _verdict in rows:
+        by_order.setdefault(g.n, []).append((g, g.degree_sequence(), *_quotient(g)))
+    pairs = rejected = 0
+    for group in by_order.values():
+        for (g, degrees_g, raw, q_g), (h, degrees_h, _raw, q_h) in combinations(group, 2):
+            if degrees_g != degrees_h:
+                assert q_g != q_h, (g, h)
+                rejected += 1
+            same = CrOutcome.CR_EQUIVALENT if q_g == q_h else CrOutcome.DISTINGUISHED
+            assert cr_iso_test(g, h).outcome is same, (g, h)
+            assert amenable_iso(g, h) is iso_from_quotients(g, raw, q_g, q_h), (g, h)
+            pairs += 1
+    assert (pairs, rejected) == (557159, 557159 - 3375)

@@ -605,18 +605,31 @@ def _write(path, text: str) -> str:
     return str(path)
 
 
+def _degrees_changed(g: Graph) -> Graph:
+    """g with its first edge uv moved to uw, w the first vertex for which
+    the degree sequence changes."""
+    u, v = next(g.edges())
+    w = next(w for w in range(g.n) if w not in (u, v) and not g.has_edge(u, w)
+             and len(g.adjacency[w]) != len(g.adjacency[v]) - 1)
+    moved = from_edge_list(g.n, [e for e in g.edges() if e != (u, v)] + [(u, w)])
+    assert (moved.m, moved.degree_sequence() != g.degree_sequence()) == (g.m, True)
+    return moved
+
+
 @pytest.fixture(scope="module")
 def big_files(tmp_path_factory):
     """Edge lists above FORK_MIN_BYTES: a 5000-vertex random_amenable draw
-    "g", a relabelled copy, and two malformed files of about the same size,
-    one failing on its first line and one on its last."""
+    "g", a relabelled copy, the copy with one edge moved so that its degree
+    sequence differs, and two malformed files of about the same size, one
+    failing on its first line and one on its last."""
     d = tmp_path_factory.mktemp("big")
     g, _ = random_amenable(5000, seed=5)
     text = format_edge_list(g)
+    copy = relabel(g, random.Random(5).sample(range(g.n), g.n))
     paths = {
         "g": _write(d / "g.txt", text),
-        "copy": _write(d / "copy.txt",
-                       format_edge_list(relabel(g, random.Random(5).sample(range(g.n), g.n)))),
+        "copy": _write(d / "copy.txt", format_edge_list(copy)),
+        "moved": _write(d / "moved.txt", format_edge_list(_degrees_changed(copy))),
         "bad_first": _write(d / "bad_first.txt", "x" + text),
         "bad_last": _write(d / "bad_last.txt", text + "0 x\n"),
     }
@@ -680,13 +693,17 @@ def test_iso_child_errors_are_those_in_process(big_files, iso_both_ways, g, h):
         assert f"bad edge list at line {line}: " in message, message
 
 
-@pytest.mark.parametrize("failure", ["raises", "killed", "short_write"])
+@pytest.mark.parametrize("failure", ["raises", "killed", "short_header", "short_write"])
 def test_iso_loads_in_process_when_the_child_fails(big_files, monkeypatch, capsys, two_cpus,
                                                    failure):
+    """The child fails after its degree frame (raises, killed), sends a
+    frame that cannot be read (short_header) or a quotient that cannot be
+    read (short_write): the second graph is loaded and refined in process."""
     from graphsym import cli
 
     parent = os.getpid()
     quotient, dumps = cli._quotient, marshal.dumps
+    truncated = {"short_header": tuple, "short_write": dict}.get(failure, ())
     in_parent = []
 
     def child_quotient(g):
@@ -698,15 +715,42 @@ def test_iso_loads_in_process_when_the_child_fails(big_files, monkeypatch, capsy
             os.kill(os.getpid(), signal.SIGKILL)
         return quotient(g)
 
-    def short_dumps(value):
+    def short_dumps(value):  # the degree sequence is a tuple, the quotient a dict
         data = dumps(value)
-        return data if os.getpid() == parent or failure != "short_write" else data[:len(data) // 2]
+        if os.getpid() != parent and isinstance(value, truncated):
+            return data[:len(data) // 2]
+        return data
 
     monkeypatch.setattr(cli, "_quotient", child_quotient)
     monkeypatch.setattr(marshal, "dumps", short_dumps)
     assert run(["--json", "iso", big_files["g"], big_files["copy"]]) == 0
     assert json.loads(capsys.readouterr().out) == {"verdict": "Isomorphic"}
     assert in_parent == [5000, 5000]  # the second graph too, once the child failed
+    _no_child_left()
+
+
+def test_iso_rejects_on_the_degree_sequences_before_either_quotient(big_files, iso_both_ways,
+                                                                     monkeypatch):
+    """A copy with one edge moved so that its degree sequence differs is
+    NotIsomorphic, forked as in process, with no quotient built in the
+    parent; the child, refining the second graph, is killed and reaped."""
+    from graphsym import cli
+
+    parent, quotient = os.getpid(), cli._quotient
+    in_parent = []
+
+    def counted(g):
+        if os.getpid() == parent:
+            in_parent.append(g.n)
+        return quotient(g)
+
+    monkeypatch.setattr(cli, "_quotient", counted)
+    for flags, out in (([], "NotIsomorphic\n"), (["--json"], '{"verdict": "NotIsomorphic"}\n')):
+        argv = [*flags, "iso", big_files["g"], big_files["moved"]]
+        forks, forked, in_process = iso_both_ways(argv)
+        assert forks == 1
+        assert forked == in_process == (0, out, "")
+    assert in_parent == []
     _no_child_left()
 
 
@@ -910,7 +954,9 @@ def main_inputs(tmp_path_factory, big_files):
     (["dist"], 1),
     (["--help"], 0),
     (["iso", "g", "copy"], 0),
-], ids=["refine_64k", "amenable", "not_amenable", "bad_edge_list", "usage", "help", "iso_fork"])
+    (["iso", "g", "moved"], 0),
+], ids=["refine_64k", "amenable", "not_amenable", "bad_edge_list", "usage", "help", "iso_fork",
+        "iso_degree_reject"])
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
 def test_main_prints_what_run_prints(main_inputs, capsys, argv, code, flags):
     argv = [*flags, *(main_inputs.get(a, a) for a in argv)]
