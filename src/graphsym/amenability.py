@@ -18,10 +18,11 @@ from typing import NamedTuple
 from .cells import (
     CellGraph,
     CellKind,
-    Components,
+    Component,
     PairKind,
     anisotropic_components,
     cell_graph_of_equitable,
+    component_rows,
 )
 from .graph import Graph
 from .refinement import Partition, _quotient, stable_partition
@@ -55,7 +56,7 @@ class Failure(NamedTuple):
 class AmenabilityVerdict(NamedTuple):
     amenable: bool
     cell_graph: CellGraph | None = None
-    components: Components | None = None  # None unless amenable
+    components: tuple[Component, ...] | None = None  # None unless amenable
     failure: Failure | None = None
 
     def to_json(self) -> dict:
@@ -63,7 +64,7 @@ class AmenabilityVerdict(NamedTuple):
         if self.failure is not None:
             out["failure"] = self.failure.to_json()
         if self.components is not None:
-            out["components"] = self.components.to_json()
+            out["components"] = component_rows(self.cell_graph.cell_sizes, self.components)
         return out
 
 
@@ -92,7 +93,7 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
 
     components = anisotropic_components(cg)
     findings = [(cond, comp.cells[0], idx, reason)
-                for idx, comp in enumerate(components.records) if len(comp.cells) > 1
+                for idx, comp in enumerate(components) if len(comp.cells) > 1
                 for cond, reason, _cells in comp.findings()]  # a lone cell has none
     if findings:
         cond, low, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable

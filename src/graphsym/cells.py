@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotEquitable
@@ -218,41 +217,6 @@ def _classify_pair(s_small: int, into_small: int) -> PairKind:
     return PairKind.OTHER
 
 
-class Components(Sequence):
-    """Per-component records by lowest cell id: ``records`` for the nonsingleton
-    cells, and for each singleton cell ``lone(cell)`` when the records are
-    first read, or only the JSON row ``lone_row(cell)`` when ``to_json`` is."""
-
-    def __init__(self, cg: CellGraph, records: tuple, lone: Callable[[int], object],
-                 lone_row: Callable[[int], dict]) -> None:
-        self.cg, self.records, self._lone, self._lone_row = cg, records, lone, lone_row
-
-    def _merged(self, record: Callable, lone: Callable[[int], object]) -> list:
-        """record(r) for each record and lone(cell) for each singleton cell,
-        each at its lowest cell: one pass over the cell ids."""
-        at = {r.cells[0]: r for r in self.records}
-        return [lone(i) if size == 1 else record(at[i])
-                for i, size in enumerate(self.cg.cell_sizes) if size == 1 or i in at]
-
-    @cached_property
-    def _all(self) -> tuple:
-        return tuple(self._merged(lambda r: r, self._lone))
-
-    def to_json(self) -> list[dict]:
-        """Each component's ``to_json()`` in order, with no record made for a
-        singleton cell."""
-        return self._merged(lambda r: r.to_json(), self._lone_row)
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def __getitem__(self, index):
-        return self._all[index]
-
-    def __iter__(self):
-        return iter(self._all)
-
-
 def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
     # a cell without anisotropic pairs: a tree without edges, rooted at itself
     return Component(cells=(cell,), root=cell, order=(cell,), parent={}, multiplicity={},
@@ -264,12 +228,23 @@ def _lone_row(cell: int) -> dict:  # _lone_component(cell).to_json()
             "heterogeneous": False}
 
 
-def anisotropic_components(cg: CellGraph) -> Components:
-    """Connected components of the anisotropic pairs, rooted and checked.
+def component_rows(sizes: Sequence[int], records: Sequence,
+                   lone_row: Callable[[int], dict] = _lone_row) -> list[dict]:
+    """The JSON list of every component by lowest cell id, in one pass over
+    the cell ids: each record's ``to_json()`` at its lowest cell, and
+    ``lone_row(cell)`` for each singleton cell, which has no record."""
+    at = {r.cells[0]: r for r in records}
+    return [lone_row(i) if size == 1 else at[i].to_json()
+            for i, size in enumerate(sizes) if size == 1 or i in at]
 
-    Components are ordered by lowest cell id.  Only nonsingleton cells are
-    walked; a singleton cell is its own component, made when read.
-    Structural problems are recorded on each Component (see
+
+def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
+    """Connected components of the anisotropic pairs among the cells of two
+    or more vertices, rooted and checked, ordered by lowest cell id.
+
+    A singleton cell is a component of its own with no record: it adds
+    D = 1 and Fix = 0, and component_rows writes its JSON row.  Structural
+    problems are recorded on each Component (see
     Component.findings), never raised; check_amenable judges C and D from them.
     """
     sizes, kinds = cg.cell_sizes, cg.cell_kinds
@@ -322,4 +297,4 @@ def anisotropic_components(cg: CellGraph) -> Components:
             cells=tuple(comp), root=root, order=tuple(order), parent=parent,
             multiplicity=multiplicity, het_cells=het, decreasing=tuple(decreasing),
         ))
-    return Components(cg, tuple(comps), _lone_component, _lone_row)
+    return tuple(comps)

@@ -28,11 +28,13 @@ either graph is refined, and otherwise compares the two quotients.  It
 loads and refines its second graph in a forked child while it does the
 first, when both inputs are regular files of at least FORK_MIN_BYTES, the
 process may run on two or more CPUs and the platform has ``os.fork``.  The
-child sends its degree sequence as one frame before it refines, and the
-parent reads it before refining the first graph; without a child the
-stages keep that order.  If the fork or the child fails in any way, the
-second graph is loaded in process, so every answer, error and exit code
-is the one without a child.
+child writes two frames to a pipe, each an 8-byte length and then the
+marshalled bytes: its degree sequence, flushed before it refines, and then
+its quotient.  The parent reads the first before refining the first graph;
+without a child the stages keep that order.  If the fork fails or a frame
+is missing or unreadable, the second graph is loaded in process, so every
+answer, error and exit code is the one without a child.  The child is
+killed and reaped once the answer is known or an error is raised.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import sys
 from typing import BinaryIO
 
 from .amenability import IsoVerdict, check_amenable, iso_from_quotients
-from .cells import anisotropic_components, cell_graph_of_equitable
+from .cells import anisotropic_components, cell_graph_of_equitable, component_rows
 from .errors import (
     BadEdgeList, BadGraph6, BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge,
     UsageError,
@@ -136,7 +138,8 @@ def _cmd_refine(g: Graph, args) -> tuple[dict, str | None]:
 
 def _cmd_cells(g: Graph, args) -> tuple[dict, str | None]:
     cg = cell_graph_of_equitable(g, stable_partition(g))
-    return {**cg.to_json(), "components": anisotropic_components(cg).to_json()}, None
+    rows = component_rows(cg.cell_sizes, anisotropic_components(cg))
+    return {**cg.to_json(), "components": rows}, None
 
 
 def _cmd_amenable(g: Graph, args) -> tuple[dict, str | None]:
@@ -172,14 +175,14 @@ def _fork_pays(*paths: str) -> bool:
 
 
 def _fork_quotient(path: str, fmt: str | None) -> tuple[int, BinaryIO] | None:
-    """Fork a child that loads the graph at path and writes to a pipe, each
-    marshalled, its degree sequence as one frame (an 8-byte length, then the
-    bytes) and then its quotient dict: (pid, read end), or None if the fork
-    fails.
+    """Fork a child that loads the graph at path and writes two frames to a
+    pipe, its degree sequence and then its quotient dict: (pid, read end),
+    or None if the fork fails.  A frame is an 8-byte little-endian length,
+    then that many marshalled bytes.
 
-    The child flushes the frame before it refines, writes the quotient only
-    once it is built, and leaves with os._exit, never returning into the
-    caller, exit code 0 on success."""
+    The child flushes the first frame before it refines, and leaves with
+    os._exit, never returning into the caller; the parent reads only its
+    frames, not its exit status."""
     try:
         fd, w = os.pipe()
     except OSError:
@@ -191,56 +194,30 @@ def _fork_quotient(path: str, fmt: str | None) -> tuple[int, BinaryIO] | None:
         os.close(w)
         return None
     if pid == 0:
-        code = 1
         try:
             os.close(fd)
             h = _load_graph(path, fmt)
-            with open(w, "wb") as out:
-                degrees = marshal.dumps(h.degree_sequence())
-                out.write(len(degrees).to_bytes(8, "little") + degrees)
-                out.flush()
-                out.write(marshal.dumps(_quotient(h)[1]))
-            code = 0
+            with open(w, "wb") as out:  # the degree frame is flushed before h is refined
+                for value in (h.degree_sequence, lambda: _quotient(h)[1]):
+                    data = marshal.dumps(value())
+                    out.write(len(data).to_bytes(8, "little") + data)
+                    out.flush()
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(w)
     return pid, open(fd, "rb")
 
 
-def _unmarshalled(data: bytes):
-    """The value marshalled in data, or None if data is not one.  The
-    child's bytes are read whole first: marshal.load would read the pipe
-    piece by piece."""
+def _frame(pipe: BinaryIO):
+    """The value in the child's next frame, or None if the frame is missing,
+    shorter than its length or not marshalled.  The frame is read whole
+    first: marshal.load would read the pipe piece by piece."""
+    size = int.from_bytes(pipe.read(8), "little")  # 0 when the frame is missing
+    data = pipe.read(size)
     try:
-        return marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
+        return marshal.loads(data) if len(data) == size else None
+    except (EOFError, ValueError, TypeError):  # no marshalled value, b"" included
         return None
-
-
-def _degrees_sent(pipe: BinaryIO) -> tuple[int, ...] | None:
-    """The degree sequence in the child's frame, or None if the frame is
-    missing or unreadable."""
-    size = pipe.read(8)
-    return _unmarshalled(pipe.read(int.from_bytes(size, "little"))) if len(size) == 8 else None
-
-
-def _received(pid: int, pipe: BinaryIO) -> dict | None:
-    """The quotient the child sent after its frame, or None if it failed in
-    any way; the child is reaped."""
-    try:
-        with pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return _unmarshalled(data) if os.waitstatus_to_exitcode(status) == 0 else None
-
-
-def _kill(pid: int, pipe: BinaryIO) -> None:
-    import signal
-
-    pipe.close()
-    os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still the child
-    os.waitpid(pid, 0)
 
 
 def _cmd_iso(args) -> tuple[dict, str | None]:
@@ -248,7 +225,7 @@ def _cmd_iso(args) -> tuple[dict, str | None]:
     h = None
     try:  # the first graph's errors come first, as without a child
         g = _load_graph(args.graph, args.format)
-        degrees = None if child is None else _degrees_sent(child[1])
+        degrees = None if child is None else _frame(child[1])
         if degrees is None:  # no child, or no frame: loading here raises what it met, if anything
             h = _load_graph(args.other, args.format)
             degrees = h.degree_sequence()
@@ -256,16 +233,18 @@ def _cmd_iso(args) -> tuple[dict, str | None]:
             verdict = IsoVerdict.NOT_ISOMORPHIC
         else:
             raw, q_g = _quotient(g)
-            q_h = None
-            if h is None:  # the child sent its frame; _received reaps it
-                (pid, pipe), child = child, None
-                q_h = _received(pid, pipe)
-            if q_h is None:  # h was loaded here, or the child failed after its frame
+            q_h = _frame(child[1]) if h is None else None
+            if q_h is None:  # h was loaded here, or the child failed after its first frame
                 q_h = _quotient(_load_graph(args.other, args.format) if h is None else h)[1]
             verdict = iso_from_quotients(g, raw, q_g, q_h)
     finally:
-        if child is not None:  # failed, or its quotient is not needed
-            _kill(*child)
+        if child is not None:  # done, failed, or its quotient is not needed
+            import signal
+
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still the child
+            os.waitpid(pid, 0)
     return {"verdict": verdict.value}, verdict.value
 
 

@@ -17,7 +17,7 @@ from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
-from .cells import CellGraph, CellKind, Component, Components
+from .cells import CellGraph, CellKind, Component, component_rows
 from .errors import BadCap, InternalError, NotAmenable
 from .graph import Graph
 
@@ -125,12 +125,7 @@ class ComponentReport(NamedTuple):
         }
 
 
-def _singleton_report(cell: int) -> ComponentReport:  # a head K1 without legs
-    return ComponentReport(cells=(cell,), root=cell, head=(CellKind.COMPLETE, 1),
-                           d_head=1, fix_head=0, leg_fix=0, dist=1, fix=0)
-
-
-def _singleton_row(cell: int) -> dict:  # _singleton_report(cell).to_json()
+def _singleton_row(cell: int) -> dict:  # a head K1 without legs, as ComponentReport.to_json
     return {"cells": [cell], "root": cell, "head": {"shape": "complete", "size": 1},
             "d_head": 1, "fix_head": 0, "leg_fix": 0, "dist": 1, "fix": 0}
 
@@ -138,13 +133,14 @@ def _singleton_row(cell: int) -> dict:  # _singleton_report(cell).to_json()
 class SymmetryReport(NamedTuple):
     dist_number: int
     fix_number: int
-    components: Components  # of ComponentReport
+    components: tuple[ComponentReport, ...]  # of the cells of two or more vertices
+    cell_sizes: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
             "dist_number": self.dist_number,
             "fix_number": self.fix_number,
-            "components": self.components.to_json(),
+            "components": component_rows(self.cell_sizes, self.components, _singleton_row),
         }
 
 
@@ -217,9 +213,10 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
     """Full per-component symmetry report for an amenable graph.
 
     Raises NotAmenable (carrying the verdict) otherwise.  A precomputed
-    verdict may be passed to avoid re-running recognition.  Each shape of a
-    nonsingleton component is computed once per call; a singleton cell adds
-    D = 1 and Fix = 0, its report made when the components are first read.
+    verdict may be passed to avoid re-running recognition.  The report has
+    one ComponentReport per component of cells of two or more vertices, and
+    each shape of such a component is computed once per call; a singleton
+    cell adds D = 1 and Fix = 0 and has no report, only its JSON row.
     """
     if verdict is None:
         verdict = check_amenable(g)
@@ -230,7 +227,7 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
     ids: dict[tuple, int] = {}
     memo: dict[int, ComponentReport] = {}
     reports = []
-    for comp in verdict.components.records:
+    for comp in verdict.components:
         key = _shape_key(cg, comp, ids)
         cached = memo.get(key)
         if cached is None:
@@ -241,7 +238,7 @@ def analyze(g: Graph, *, verdict: AmenabilityVerdict | None = None) -> SymmetryR
     return SymmetryReport(
         dist_number=max((r.dist for r in reports), default=min(g.n, 1)),
         fix_number=sum(r.fix for r in reports),
-        components=Components(cg, tuple(reports), _singleton_report, _singleton_row),
+        components=tuple(reports), cell_sizes=cg.cell_sizes,
     )
 
 

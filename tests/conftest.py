@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from graphsym import Component, from_edge_list, generators
+from graphsym.cells import CellGraph, _lone_component
 from graphsym.formats import GRAPH6_MAX_BODY_BYTES
 from graphsym.graph import Graph
 from graphsym.refinement import Partition
@@ -147,6 +148,13 @@ def induced(g: Graph, p: Partition, vertices) -> tuple[Graph, Partition]:
     new = {v: i for i, v in enumerate(kept)}
     edges = [(new[u], new[v]) for u in kept for v in g.adjacency[u] if v in new]
     return from_edge_list(len(kept), edges), Partition.from_colors([p.cell_of[v] for v in kept])
+
+
+def every_component(cg: CellGraph, records) -> list[Component]:
+    """records and a lone record for each singleton cell of cg, by lowest
+    cell id: one record for each row of the JSON component list."""
+    lone = [_lone_component(i) for i, size in enumerate(cg.cell_sizes) if size == 1]
+    return sorted([*records, *lone], key=lambda c: c.cells[0])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

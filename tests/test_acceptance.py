@@ -31,7 +31,7 @@ from graphsym import (
 from graphsym.errors import NotAmenable
 from graphsym.generators import named, random_amenable
 
-from .conftest import cell_tree, disjoint_union, induced
+from .conftest import cell_tree, disjoint_union, every_component, induced
 
 LEG_REGRESSION_NEST = (5, [(10, [(30, []), (20, [])]), (15, []), (5, [(15, [])])])
 CORPUS_SIZE = 500
@@ -76,8 +76,8 @@ def test_criterion_1_figure1_regression():
         frozenset({1, 4, 5, 8}), frozenset({9, 10}),
     }
     assert verdict.amenable
-    comps = verdict.components
-    assert len(comps) == 3
+    comps = every_component(verdict.cell_graph, verdict.components)
+    assert len(comps) == 3 and len(verdict.components) == 2
     by_cells = {tuple(sorted(len(p.cells[c]) for c in comp.cells)) for comp in comps}
     assert by_cells == {(1,), (4,), (2, 4)}
     star_comp = next(c for c in comps if len(c.cells) == 2)
@@ -135,7 +135,7 @@ def test_criterion_5_oracle_equivalence(corpus):
     t0 = time.perf_counter()
     shapes = set()
     for g, _, verdict in corpus:
-        for comp in verdict.components:
+        for comp in every_component(verdict.cell_graph, verdict.components):
             shapes.add(_component_shape(verdict, comp))
         report = analyze(g, verdict=verdict)
         assert report.dist_number == oracle.dist_number_bf(g, limit=12)
@@ -156,7 +156,7 @@ def test_criterion_6_structural_invariants(corpus):
         celled = oracle.automorphisms(g, p, limit_n=12)
         assert full.elements == celled.elements
         product = 1
-        for comp in verdict.components:
+        for comp in every_component(verdict.cell_graph, verdict.components):
             verts = sorted(v for c in comp.cells for v in p.cells[c])
             sub, local = induced(g, p, verts)
             gi = oracle.automorphisms(sub, local, limit_n=12)

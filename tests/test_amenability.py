@@ -24,7 +24,8 @@ from .conftest import disjoint_union, graphs, trees
 def test_figure1_amenable(figure1):
     verdict = check_amenable(figure1)
     assert verdict.amenable
-    assert len(verdict.components) == 3
+    assert [c.cells for c in verdict.components] == [(1, 3), (2,)]  # singleton cell 0 has none
+    assert len(verdict.to_json()["components"]) == 3
     assert verdict.failure is None
 
 

@@ -12,10 +12,11 @@ from graphsym import (
     from_edge_list,
     stable_partition,
 )
+from graphsym.cells import component_rows
 from graphsym.errors import NotEquitable
 from graphsym.generators import generate, named
 
-from .conftest import BRANCHED_SPEC, graphs
+from .conftest import BRANCHED_SPEC, every_component, graphs
 
 
 def cell_graph_of(g):
@@ -63,11 +64,14 @@ def test_not_equitable_rejected():
 
 
 def test_figure1_components(figure1):
-    comps = anisotropic_components(cell_graph_of(figure1))  # ordered by lowest cell id
-    assert [c.cells for c in comps] == [(0,), (1, 3), (2,)]
-    assert comps[1].root == 3
-    assert comps[1].multiplicity == {1: 2}
-    assert not comps[0].het_cells and comps[2].het_cells
+    cg = cell_graph_of(figure1)
+    comps = anisotropic_components(cg)  # ordered by lowest cell id
+    rows = component_rows(cg.cell_sizes, comps)  # with singleton cell 0
+    assert [c.cells for c in comps] == [(1, 3), (2,)]
+    assert [r["cells"] for r in rows] == [[0], [1, 3], [2]]
+    assert comps[0].root == 3
+    assert comps[0].multiplicity == {1: 2}
+    assert not rows[0]["heterogeneous"] and comps[1].het_cells
 
 
 def test_single_cell_component():
@@ -174,7 +178,7 @@ def test_double_counting_identity(g):
 @given(graphs())
 def test_multiplicities_positive_and_consistent(g):
     cg = cell_graph_of(g)
-    for comp in anisotropic_components(cg):
+    for comp in every_component(cg, anisotropic_components(cg)):
         cells = set(comp.cells)
         aniso_pairs = sum(1 for (i, _j), kind in cg.pair_kinds.items()
                           if kind in (PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS)

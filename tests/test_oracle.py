@@ -22,7 +22,7 @@ from graphsym.oracle import (
     tree_fix,
 )
 
-from .conftest import complement, graphs, induced, trees
+from .conftest import complement, every_component, graphs, induced, trees
 
 # path plus a pendant whose three branches all differ, so nothing can move
 RIGID_TREE = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
@@ -45,7 +45,8 @@ def test_figure1_group_and_product_law(figure1):
     assert automorphisms(figure1, p, limit_n=11).elements == group.elements
     # product over the three anisotropic components: 1 * 8 * 8
     orders = []
-    for comp in check_amenable(figure1).components:
+    verdict = check_amenable(figure1)
+    for comp in every_component(verdict.cell_graph, verdict.components):
         verts = sorted(v for c in comp.cells for v in p.cells[c])
         orders.append(automorphisms(*induced(figure1, p, verts)).order)
     assert orders == [1, 8, 8]
@@ -178,7 +179,8 @@ def test_tree_count_matches_graph_oracle(t, c):
 def test_materialize_figure1_star_component(figure1):
     verdict = check_amenable(figure1)
     p = stable_partition(figure1)
-    comp = verdict.components[1]  # cells {v1,v4,v5,v8} and {v9,v10}
+    comp = verdict.components[0]  # cells {v1,v4,v5,v8} and {v9,v10}
+    assert comp.cells == (1, 3)
     j = materialize_jellyfish(figure1, p, comp)
     # local order of sorted vertices [1,4,5,8,9,10]; the empty root cell
     # {v9,v10} gains its head edge, the stars stay

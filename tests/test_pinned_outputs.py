@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from graphsym import check_amenable, from_edge_list
-from graphsym.cells import anisotropic_components, cell_graph_of_equitable
+from graphsym.cells import anisotropic_components, cell_graph_of_equitable, component_rows
 from graphsym.generators import random_amenable
 from graphsym.refinement import stable_partition
 from graphsym.symmetry import analyze
@@ -29,7 +29,7 @@ def _answers(g) -> str:
     verdict = check_amenable(g)
     cg = cell_graph_of_equitable(g, stable_partition(g))
     cells = cg.to_json()
-    cells["components"] = [c.to_json() for c in anisotropic_components(cg)]
+    cells["components"] = component_rows(cg.cell_sizes, anisotropic_components(cg))
     symmetry = analyze(g, verdict=verdict).to_json() if verdict.amenable else None
     return json.dumps([verdict.to_json(), cells, symmetry], sort_keys=True)
 

@@ -1,8 +1,8 @@
 """Singleton cells are kept in bulk: the cell graph reads and classifies only
 cells of two or more vertices, and answers for singleton cells from the
 graph.  These tests check those answers against counts taken directly from
-the adjacency, and that verdicts, failure indices and JSON read as if every
-singleton had its own record."""
+the adjacency, that no record is built for a singleton cell, and that
+verdicts, failure indices and JSON read as if every singleton had one."""
 
 from __future__ import annotations
 
@@ -24,11 +24,13 @@ from graphsym import (
 )
 from graphsym import cells as cells_module
 from graphsym import symmetry as symmetry_module
+from graphsym.cells import _lone_component, _lone_row, component_rows
 from graphsym.cli import run
 from graphsym.formats import format_edge_list
 from graphsym.generators import named
+from graphsym.symmetry import _singleton_row, component_report
 
-from .conftest import disjoint_union, graphs, near_discrete
+from .conftest import disjoint_union, every_component, graphs, near_discrete
 from .test_pinned_outputs import _atlas, _random_amenable
 
 NEAR_DISCRETE = near_discrete()
@@ -159,9 +161,11 @@ def test_failure_index_counts_singleton_components(condition, failing, reason):
     assert verdict.failure.to_json() == {
         "condition": condition, "component": 8, "reason": reason}
     assert verdict.components is None
-    comps = anisotropic_components(build_cell_graph(g, stable_partition(g)))
-    assert [c.cells for c in comps[:8]] == [(c,) for c in range(8)]
-    assert any(cond == condition for cond, _r, _c in comps[8].findings())
+    cg = build_cell_graph(g, stable_partition(g))
+    rows = component_rows(cg.cell_sizes, anisotropic_components(cg))
+    assert [r["cells"] for r in rows[:8]] == [[c] for c in range(8)]
+    failing = rows[verdict.failure.component]
+    assert (condition, reason) in [(f["condition"], f["reason"]) for f in failing["findings"]]
 
 
 @pytest.mark.parametrize("n, edges, dist, fix", [
@@ -171,8 +175,9 @@ def test_all_singleton_graphs(tmp_path, capsys, n, edges, dist, fix):
     g = from_edge_list(n, edges)
     report = analyze(g)
     assert (report.dist_number, report.fix_number) == (dist, fix)
-    assert [(r.cells, r.dist, r.fix) for r in report.components] == [
-        ((c,), 1, 0) for c in range(n)]
+    assert report.components == ()
+    assert [(r["cells"], r["dist"], r["fix"]) for r in report.to_json()["components"]] == [
+        ([c], 1, 0) for c in range(n)]
     path = tmp_path / "g.txt"
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert run(["--json", "cells", str(path)]) == 0
@@ -194,16 +199,23 @@ def _recursive_tree(n: int, seed: int):
     return from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
 
 
-def _check_merged(comps, lone) -> None:
-    """comps holds its records and lone(cell) for each singleton cell, sorted
-    by lowest cell id, alike through len, indexing and iteration; and its
-    JSON is that of each component in turn."""
-    sizes = comps.cg.cell_sizes
-    merged = sorted([*comps.records, *(lone(i) for i, size in enumerate(sizes) if size == 1)],
-                    key=lambda c: c.cells[0])
-    assert list(comps) == [comps[i] for i in range(len(comps))] == merged
-    assert list(comps[1:-1]) == merged[1:-1]
-    assert comps.to_json() == [c.to_json() for c in merged]
+def _check_rows(g) -> None:
+    """Every JSON component list holds the rows of all components in turn,
+    singleton cells included, and the hand-written singleton rows equal the
+    rows of records computed for them."""
+    cg = build_cell_graph(g, stable_partition(g))
+    records = anisotropic_components(cg)
+    every = every_component(cg, records)
+    assert component_rows(cg.cell_sizes, records) == [c.to_json() for c in every]
+    for c in (c for c, size in enumerate(cg.cell_sizes) if size == 1):
+        assert _lone_row(c) == _lone_component(c).to_json()
+        assert _singleton_row(c) == component_report(cg, _lone_component(c)).to_json()
+    verdict = check_amenable(g)
+    if verdict.amenable:
+        assert verdict.components == records
+        assert verdict.to_json()["components"] == [c.to_json() for c in every]
+        assert analyze(g, verdict=verdict).to_json()["components"] == [
+            component_report(cg, c).to_json() for c in every]
 
 
 @pytest.mark.parametrize("family", ["atlas", "random_amenable", "near_discrete", "tree_2000"])
@@ -211,41 +223,38 @@ def test_component_json_is_each_component_in_turn(family):
     draw = {"atlas": _atlas, "random_amenable": _random_amenable, "near_discrete": near_discrete,
             "tree_2000": lambda: [_recursive_tree(2000, 7)]}[family]
     for g in draw():
-        _check_merged(anisotropic_components(build_cell_graph(g, stable_partition(g))),
-                      cells_module._lone_component)
-        verdict = check_amenable(g)
-        if verdict.amenable:
-            _check_merged(verdict.components, cells_module._lone_component)
-            _check_merged(analyze(g, verdict=verdict).components, symmetry_module._singleton_report)
+        _check_rows(g)
 
 
 def test_component_json_makes_no_record_per_singleton_cell(tmp_path, capsys, monkeypatch):
     g = NEAR_DISCRETE[3]  # a random recursive tree: about 1010 of 1230 cells are singletons
     verdict = check_amenable(g)
-    expected = [c.to_json() for c in verdict.components]
+    expected = verdict.to_json()
     expected_report = analyze(g, verdict=verdict).to_json()
     sizes = verdict.cell_graph.cell_sizes
-    lone = cells_module._lone_component
+    lone, report_of = _lone_component, component_report
 
     def no_singleton_component(cell, *args):
         if sizes[cell] == 1:
             raise RuntimeError(f"a record for singleton cell {cell}")
         return lone(cell, *args)
 
-    def no_singleton_report(cell):
-        raise RuntimeError(f"a report for singleton cell {cell}")
+    def no_singleton_report(cg, comp):
+        if sizes[comp.root] == 1:
+            raise RuntimeError(f"a report for singleton cell {comp.root}")
+        return report_of(cg, comp)
 
     monkeypatch.setattr(cells_module, "_lone_component", no_singleton_component)
-    monkeypatch.setattr(symmetry_module, "_singleton_report", no_singleton_report)
+    monkeypatch.setattr(symmetry_module, "component_report", no_singleton_report)
     verdict = check_amenable(g)
-    assert verdict.to_json() == {"amenable": True, "components": expected}
+    assert verdict.to_json() == expected
+    assert all(sizes[c] > 1 for comp in verdict.components for c in comp.cells)
     report = analyze(g, verdict=verdict)
     assert report.to_json() == expected_report
+    assert len(report.components) == len(verdict.components) < len(expected["components"])
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(g))
     assert run(["--json", "cells", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["components"] == expected
+    assert json.loads(capsys.readouterr().out)["components"] == expected["components"]
     with pytest.raises(RuntimeError, match="a record for singleton cell"):
-        list(verdict.components)  # reading the records still makes them
-    with pytest.raises(RuntimeError, match="a report for singleton cell"):
-        len(report.components)
+        cells_module._lone_component(sizes.index(1))  # the patch was in force

@@ -68,9 +68,9 @@ def test_head_invariants():
 def test_head_of_component(figure1):
     verdict = check_amenable(figure1)
     cg = verdict.cell_graph
-    comps = verdict.components
-    assert component_report(cg, comps[2]).head == (CellKind.CO_MATCHING, 4)
-    assert component_report(cg, comps[1]).head == (CellKind.COMPLETE, 2)
+    comps = verdict.components  # cells 1 and 3, then cell 2
+    assert component_report(cg, comps[1]).head == (CellKind.CO_MATCHING, 4)
+    assert component_report(cg, comps[0]).head == (CellKind.COMPLETE, 2)
 
     v5 = check_amenable(named("kn", 5))
     assert component_report(v5.cell_graph, v5.components[0]).head == (CellKind.COMPLETE, 5)
@@ -129,8 +129,8 @@ def test_leg_fix_examples():
 def test_component_dist_examples(figure1):
     verdict = check_amenable(figure1)
     cg = verdict.cell_graph
-    assert component_report(cg, verdict.components[1]).dist == 2  # star pair, head K2
-    assert component_report(cg, verdict.components[2]).dist == 3  # matching cell
+    assert component_report(cg, verdict.components[0]).dist == 2  # star pair, head K2
+    assert component_report(cg, verdict.components[1]).dist == 3  # matching cell
 
     v5 = check_amenable(named("kn", 5))
     assert component_report(v5.cell_graph, v5.components[0]).dist == 5
@@ -139,8 +139,8 @@ def test_component_dist_examples(figure1):
 def test_component_fix_examples(figure1):
     verdict = check_amenable(figure1)
     cg = verdict.cell_graph
-    assert component_report(cg, verdict.components[1]).fix == 2  # 2 * leg fix 1
-    assert component_report(cg, verdict.components[2]).fix == 2  # co-matching head, r=2
+    assert component_report(cg, verdict.components[0]).fix == 2  # 2 * leg fix 1
+    assert component_report(cg, verdict.components[1]).fix == 2  # co-matching head, r=2
 
     v5 = check_amenable(named("kn", 5))
     assert component_report(v5.cell_graph, v5.components[0]).fix == 4
@@ -192,7 +192,7 @@ def test_unsupported_root_kind_is_loud():
 
 def test_head_of_component_checks_the_root_size(figure1):
     verdict = check_amenable(figure1)
-    cg, comp = verdict.cell_graph, verdict.components[2]  # a root cell of 4 vertices
+    cg, comp = verdict.cell_graph, verdict.components[1]  # cell 2, of 4 vertices
     kinds = list(cg.cell_kinds)
     kinds[comp.root] = CellKind.FIVE_CYCLE
     with pytest.raises(InternalError, match="five-cycle head of size 4"):
@@ -207,7 +207,7 @@ def test_head_of_component_checks_the_root_size(figure1):
 
 def test_component_report_rejects_a_bad_edge(figure1):
     verdict = check_amenable(figure1)
-    comp = verdict.components[1]  # cells 1 and 3, a star pair
+    comp = verdict.components[0]  # cells 1 and 3, a star pair
     (child,) = comp.order[1:]
     bad = Component(
         cells=comp.cells, root=comp.root, order=comp.order, parent=comp.parent,
@@ -223,7 +223,7 @@ def test_component_report_rejects_a_bad_edge(figure1):
 
 def test_component_report_rejects_a_condition_d_failure(figure1):
     verdict = check_amenable(figure1)
-    comp = verdict.components[1]  # cells 1 and 3, a star pair with no heterogeneous cell
+    comp = verdict.components[0]  # cells 1 and 3, a star pair with no heterogeneous cell
     (child,) = comp.order[1:]
     for het, reason in (((child,), "not of minimum size"),
                         ((comp.root, child), "more than one heterogeneous cell")):
@@ -243,11 +243,13 @@ def test_degenerate_sizes():
 def test_report_structure(figure1):
     report = analyze(figure1)
     assert report.dist_number == 3 and report.fix_number == 4
-    assert [r.cells for r in report.components] == [(0,), (1, 3), (2,)]
-    assert [r.dist for r in report.components] == [1, 2, 3]
-    assert [r.fix for r in report.components] == [0, 2, 2]
+    assert [r.cells for r in report.components] == [(1, 3), (2,)]  # singleton cell 0 has none
+    assert [r.dist for r in report.components] == [2, 3]
+    assert [r.fix for r in report.components] == [2, 2]
     payload = report.to_json()
     assert payload["dist_number"] == 3
+    assert [(r["cells"], r["dist"], r["fix"]) for r in payload["components"]] == [
+        ([0], 1, 0), ([1, 3], 2, 2), ([2], 3, 2)]
     assert payload["components"][2]["head"] == {"shape": "co_matching", "size": 4}
 
 
@@ -303,10 +305,11 @@ def test_analyze_reports_each_shape_once(monkeypatch):
 
         return cg.cell_kinds[comp.root], canon(comp.root)
 
-    # a singleton cell's component is never computed: it adds D = 1, Fix = 0
-    computed = [comp for comp in verdict.components if cg.cell_sizes[comp.root] > 1]
+    # a singleton cell has no record, so no report is computed: it adds D = 1, Fix = 0
+    computed = verdict.components
+    assert all(cg.cell_sizes[comp.root] > 1 for comp in computed)
     shapes = {shape(comp) for comp in computed}
-    assert len(shapes) < len(computed) < len(verdict.components)
+    assert len(shapes) < len(computed) < len(verdict.to_json()["components"])
     calls = []
 
     def counted(cg_, comp):
