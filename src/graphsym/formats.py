@@ -6,6 +6,12 @@ are ASCII decimal digits with an optional '-' sign.  A negative value, or
 a header with more than MAX_VERTICES vertices, is refused before anything
 is built.
 
+A text in the plain subset is read in bulk: ASCII, lines split only by
+"\n", each line blank, a '#' comment or two runs of ASCII digits split by
+spaces or tabs.  It is tokenised once and converted by one map(int, ...).
+Any other text, and any text the bulk read refuses, goes through the
+per-line scan, which defines the grammar and names the line of every error.
+
 graph6 follows McKay's specification: one printable ASCII line, vertex count
 followed by the upper triangle of the adjacency matrix in column-major order,
 six bits per byte, offset 63.  The short size form covers n <= 62 and the
@@ -14,6 +20,8 @@ GRAPH6_MAX_BODY_BYTES of body, so n <= 14189.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BadEdgeList, BadGraph6, OutOfRange, SelfLoop
 from .graph import Graph, from_edge_list
@@ -28,13 +36,48 @@ MAX_VERTICES = 1 << 20
 _GRAPH6_BYTES = bytes(range(63, 127))
 _SIX_BITS_TO_TEXT = _GRAPH6_BYTES + bytes(192)  # value v -> byte v + 63
 _BYTE_TO_BITS = [""] * 63 + [f"{v:06b}" for v in range(64)]  # byte v + 63 -> v's bits, high first
+# The first line outside the plain subset.  A comment holds none of the
+# characters where str.splitlines, and so the per-line scan, breaks a line.
+# A search, not a fullmatch over a repeated group, whose backtracking stack
+# would grow with the text.  Both patterns are compiled on first use, by
+# re's cache, so a call that reads only graph6 compiles neither.
+_NOT_PLAIN = r"^(?![ \t]*(?:#[^\n\r\x0b\x0c\x1c-\x1e]*|[0-9]+[ \t]+[0-9]+[ \t]*)?$)"
+_COMMENT = r"^[ \t]*#.*$"
 
 
 def parse_edge_list(text: str) -> tuple[Graph, int]:
     """The graph of an edge-list text and how many of its edges were
     duplicates (either orientation), which the graph holds once."""
-    # plain text, as _plain_int takes it, pays no check per token
-    to_int = int if text.isascii() and "+" not in text and "_" not in text else _plain_int
+    parsed = _read_plain(text)
+    return parsed if parsed is not None else _scan_lines(text)
+
+
+def _read_plain(text: str) -> tuple[Graph, int] | None:
+    """parse_edge_list(text) read in bulk, or None when text is outside the
+    plain subset or is refused, for the per-line scan to read."""
+    if not text.isascii() or re.search(_NOT_PLAIN, text, re.M):
+        return None
+    tokens = (re.sub(_COMMENT, "", text, flags=re.M) if "#" in text else text).split()
+    try:
+        n, m = map(int, tokens[:2])
+        if n > MAX_VERTICES or 2 * m != len(tokens) - 2:
+            return None
+        del tokens[:2]
+        ends = list(map(int, tokens))
+    except ValueError:  # no header, or a number past int()'s digit limit
+        return None
+    del tokens  # freed before the rows are built
+    it = iter(ends)
+    try:
+        g = from_edge_list(n, zip(it, it))
+    except (OutOfRange, SelfLoop):
+        return None
+    return g, m - g.m
+
+
+def _scan_lines(text: str) -> tuple[Graph, int]:
+    """parse_edge_list(text) read line by line: the grammar's definition,
+    and the read that names the line of every error."""
     lines = text.splitlines()
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -47,7 +90,7 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
             if len(parts) != 2:
                 raise BadEdgeList(lineno, f"expected 'n m' header, got {line!r}")
             try:
-                header = (to_int(parts[0]), to_int(parts[1]))
+                header = (_plain_int(parts[0]), _plain_int(parts[1]))
             except ValueError:
                 raise BadEdgeList(lineno, f"non-integer header {line!r}") from None
             if header[0] < 0 or header[1] < 0:
@@ -58,7 +101,7 @@ def parse_edge_list(text: str) -> tuple[Graph, int]:
         if len(parts) != 2:
             raise BadEdgeList(lineno, f"expected 'u v', got {line!r}")
         try:
-            edges.append((to_int(parts[0]), to_int(parts[1])))
+            edges.append((_plain_int(parts[0]), _plain_int(parts[1])))
         except ValueError:
             raise BadEdgeList(lineno, f"non-integer endpoints {line!r}") from None
     if header is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import OutOfRange, SelfLoop
@@ -40,11 +41,12 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.
 
     Duplicate edges (in either orientation) are deduplicated; self-loops and
-    out-of-range endpoints are errors.
+    out-of-range endpoints are errors, raised for the first bad edge in
+    input order, u before v.
     """
     if n < 0:
         raise OutOfRange(n, 0)
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    rows: list = [[] for _ in range(n)]
     for u, v in edges:
         if not 0 <= u < n:
             raise OutOfRange(u, n)
@@ -52,11 +54,17 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise OutOfRange(v, n)
         if u == v:
             raise SelfLoop(u)
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    m = sum(len(row) for row in adjacency) // 2
-    return Graph(n=n, m=m, adjacency=adjacency)
+        rows[u].append(v)
+        rows[v].append(u)
+    # each row is sorted in place, loses the neighbours a duplicate edge
+    # repeated, and is freed as its tuple replaces it
+    for u, row in enumerate(rows):
+        row.sort()
+        if len(row) > 1 and any(map(eq, row, row[1:])):
+            row[:] = dict.fromkeys(row)
+        rows[u] = tuple(row)
+    adjacency = tuple(rows)
+    return Graph(n=n, m=sum(map(len, adjacency)) // 2, adjacency=adjacency)
 
 
 def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:

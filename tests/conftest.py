@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from math import isqrt
@@ -30,6 +31,16 @@ BRANCHED_SPEC = {"components": [{"head": "complete", "tree": {"size": 5, "childr
 @pytest.fixture
 def figure1() -> Graph:
     return generators.named("figure1")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """int() refuses strings of more than Python's default 4300 digits,
+    whatever limit the environment sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
 
 
 @st.composite

@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 
 import graphsym
-from graphsym import amenable_iso, check_amenable, from_edge_list, relabel
+from graphsym import amenable_iso, check_amenable, formats, from_edge_list, relabel
 from graphsym.cli import FORK_MIN_BYTES, run
 from graphsym.formats import MAX_VERTICES, encode_graph6, format_edge_list, parse_edge_list
 from graphsym.generators import named, random_amenable
@@ -240,6 +240,18 @@ def test_edge_list_header_over_the_vertex_limit_is_refused(tmp_path, n):
     assert payload["error"] == "BadEdgeList"
     assert payload["message"] == (
         f"bad edge list at line 1: n = {n} is over the limit of {MAX_VERTICES}")
+
+
+def test_a_number_past_the_digit_limit_exits_1(tmp_path, capsys, int_digit_limit):
+    """int() refuses it with a ValueError: a BadEdgeList at its line."""
+    big = "1" * (int_digit_limit + 700)
+    for text, line in ((f"{big} 0\n", 1), (f"3 1\n0 {big}\n", 2)):
+        path = _write(tmp_path / "long.txt", text)
+        for command in ("refine", "amenable", "dist"):
+            assert run(["--json", command, path]) == 1, (line, command)
+            error = json.loads(capsys.readouterr().out)
+            assert error["error"] == "BadEdgeList"
+            assert error["message"].startswith(f"bad edge list at line {line}: non-integer ")
 
 
 def test_generator_over_the_size_limits_is_refused(tmp_path):
@@ -878,11 +890,30 @@ def _mutated(data: bytes, rng: random.Random) -> bytes:
     return bytes(out)
 
 
-def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, two_cpus):
+def _plain_mutations(text: str, rng: random.Random) -> list[str]:
+    """Mutations of an edge list that stay inside the grammar read in bulk:
+    two digits swapped, a line duplicated, an edge line moved above the
+    header, and the final newline dropped."""
+    lines = text.splitlines(keepends=True)
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    out = [text[:-1]]
+    for _ in range(4):
+        i, j = sorted(rng.sample(digits, 2))
+        out.append(text[:i] + text[j] + text[i + 1:j] + text[i] + text[j + 1:])
+        k = rng.randrange(len(lines))
+        out.append("".join(lines[:k + 1] + lines[k:]))
+        k = rng.randrange(1, len(lines))
+        out.append("".join([lines[k], *lines[:k], *lines[k + 1:]]))
+    return out
+
+
+def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, monkeypatch, big_files,
+                                                 two_cpus):
     """Seeded byte mutations of an edge list and a graph6 file through every
     graph command, and of a file above FORK_MIN_BYTES through iso either
     side: each run exits 0, 1 or 2 with one JSON object.  Substitutions of
-    what int() reads beyond plain digits exit 1 at their line."""
+    what int() reads beyond plain digits exit 1 at their line.  Mutations
+    inside the grammar read in bulk answer as the per-line scan does."""
     rng = random.Random(2024)
     runs = []
     for name, text in (("fig1.txt", format_edge_list(named("figure1"))),
@@ -919,6 +950,22 @@ def test_no_mutated_input_makes_a_command_exit_3(tmp_path, capsys, big_files, tw
             code = run(["--json", *argv])
             (line,) = capsys.readouterr().out.splitlines()
             assert code in (0, 1, 2) and isinstance(json.loads(line), dict), argv
+    read_in_bulk = 0
+    for mutated in _plain_mutations(text, random.Random(2025)):
+        read_in_bulk += formats._read_plain(mutated) is not None
+        path = _write(tmp_path / "plain.txt", mutated)
+        for command in ("refine", "cells", "amenable", "dist", "fix"):
+            answers = []
+            for scan_only in (False, True):
+                with monkeypatch.context() as patch:
+                    if scan_only:
+                        patch.setattr(formats, "_read_plain", lambda text: None)
+                    code = run(["--json", command, path])
+                (line,) = capsys.readouterr().out.splitlines()
+                assert code in (0, 1, 2) and isinstance(json.loads(line), dict), (command, mutated)
+                answers.append((code, line))
+            assert answers[0] == answers[1], (command, mutated)
+    assert read_in_bulk
     _no_child_left()
 
 

@@ -50,3 +50,20 @@ def test_relabel_roundtrip(figure1):
     for v, w in enumerate(perm):
         back[w] = v
     assert relabel(relabel(figure1, perm), back) == figure1
+
+
+def test_the_first_bad_edge_in_input_order_is_refused():
+    """A loop early, an out-of-range v later, then an edge with both ends
+    out of range: the first bad edge decides, u before v, from a list and
+    from a one-shot generator alike."""
+    edges = [(0, 1), (2, 2), (1, 0), (3, 7), (9, 8), (-1, 0)]
+    for bad, error, vertex in ((1, SelfLoop, 2), (3, OutOfRange, 7), (4, OutOfRange, 9),
+                               (5, OutOfRange, -1)):
+        rest = edges[:1] + edges[bad:]
+        for given_as in (list, iter, lambda es: (e for e in es)):
+            with pytest.raises(error) as info:
+                from_edge_list(4, given_as(rest))
+            assert info.value.vertex == vertex
+            expected = (f"self-loop at vertex {vertex}" if error is SelfLoop
+                        else f"vertex {vertex} out of range [0, 4)")
+            assert str(info.value) == expected
