@@ -46,55 +46,39 @@ def _anisotropic(kind: PairKind) -> bool:
 
 
 class CellGraph(NamedTuple):
-    """Sizes, kinds and degree constants over the cells of an equitable partition.
+    """Sizes and kinds over the cells of an equitable partition.
 
-    Singleton cells are kept in bulk: ``d`` holds the rows of the
-    ``nonsingleton`` cells only (d[i, i] and each d[i, j] > 0; a missing key
-    means 0) and ``pair_kinds`` the pairs of two such cells with an edge.
-    The methods answer for singleton cells, all EMPTY, from the graph.
+    Singleton cells are kept in bulk: ``cell_kinds`` holds EMPTY for each,
+    and ``pair_kinds`` only the pairs of two ``nonsingleton`` cells with an
+    edge.  A pair that involves a singleton cell is ISO_EMPTY without an
+    edge and ISO_COMPLETE with one.
     """
 
     graph: Graph
     partition: Partition
     cell_sizes: tuple[int, ...]
     nonsingleton: tuple[int, ...]  # ids of the cells of two or more vertices, ascending
-    d: dict[tuple[int, int], int]
     cell_kinds: tuple[CellKind, ...]
     pair_kinds: dict[tuple[int, int], PairKind]
 
-    def degree_constant(self, i: int, j: int) -> int:
-        sizes, cells = self.cell_sizes, self.partition.cells
-        if sizes[i] > 1:
-            return self.d.get((i, j), 0)
-        if sizes[j] > 1:  # double counting: |i| d[i, j] = |j| d[j, i], and |i| = 1
-            return sizes[j] * self.d.get((j, i), 0)
-        return int(self.graph.has_edge(cells[i][0], cells[j][0]))
-
-    def pair_kind(self, i: int, j: int) -> PairKind:
-        kind = self.pair_kinds.get((i, j) if i < j else (j, i))  # two nonsingleton cells
-        return kind or (
-            PairKind.ISO_COMPLETE if i != j and self.degree_constant(i, j) else PairKind.ISO_EMPTY)
-
-    def center_cell(self, i: int, j: int) -> int:
-        """The cell of pair i, j that holds the star centers when the pair is
-        anisotropic: the smaller cell, the lower id on ties."""
-        return min((self.cell_sizes[i], i), (self.cell_sizes[j], j))[1]
-
     def to_json(self) -> dict:
-        cell_of = self.partition.cell_of
-        pairs = {(a, b) if a < b else (b, a) for a, b in (
-            (cell_of[u], cell_of[v]) for u, v in self.graph.edges()) if a != b}
+        """Every cell, and every cell pair with an edge with its degree
+        constants, read from the profile of each cell's lowest vertex."""
+        cell_of, cells, sizes = self.partition.cell_of, self.partition.cells, self.cell_sizes
+        d = [neighbour_counts(self.graph, cell_of, cell[0]) for cell in cells]
         return {
             "cells": [
-                {"id": i, "size": self.cell_sizes[i], "kind": self.cell_kinds[i].value,
-                 "vertices": list(self.partition.cells[i])}
-                for i in range(len(self.cell_sizes))
+                {"id": i, "size": sizes[i], "kind": self.cell_kinds[i].value,
+                 "vertices": list(cell)}
+                for i, cell in enumerate(cells)
             ],
             "pairs": [
-                {"i": i, "j": j, "d_ij": self.degree_constant(i, j),
-                 "d_ji": self.degree_constant(j, i), "kind": kind.value,
-                 **({"centers": self.center_cell(i, j)} if _anisotropic(kind) else {})}
-                for i, j in sorted(pairs) for kind in (self.pair_kind(i, j),)
+                {"i": i, "j": j, "d_ij": d[i][j], "d_ji": d[j][i], "kind": kind.value,
+                 **({"centers": min((sizes[i], i), (sizes[j], j))[1]}
+                    if _anisotropic(kind) else {})}
+                for i in range(len(cells)) for j in sorted(d[i]) if i < j
+                # a singleton cell with an edge into a cell is adjacent to all of it
+                for kind in (self.pair_kinds.get((i, j), PairKind.ISO_COMPLETE),)
             ],
         }
 
@@ -156,7 +140,7 @@ class Component(NamedTuple):
 
 
 def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
-    """Compute degree constants and classify cells and pairs.
+    """Classify the cells and cell pairs of an equitable partition.
 
     Raises NotEquitable if any vertex deviates from its cell's profile.
     """
@@ -168,26 +152,26 @@ def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
 
 def cell_graph_of_equitable(g: Graph, p: Partition) -> CellGraph:
     """build_cell_graph for a partition known to be equitable, such as one
-    fresh from refine: d is read from the lowest vertex of each nonsingleton
-    cell, and a pair of two such cells is classified when the higher is read."""
+    fresh from refine.  The degree constants d[i, j] of each nonsingleton
+    cell i are the profile of its lowest vertex, and a pair j < i of two
+    such cells is classified when i is read, by the degree into the smaller
+    cell, j on ties.  When that is i, d[j, i] = |i| d[i, j] / |j| by double
+    counting."""
     cell_of, cells = p.cell_of, p.cells
     sizes = tuple(map(len, cells))
     nonsingleton = tuple(i for i, size in enumerate(sizes) if size > 1)
     kinds = [CellKind.EMPTY] * len(sizes)
-    d: dict[tuple[int, int], int] = {}
     pair_kinds: dict[tuple[int, int], PairKind] = {}
     for i in nonsingleton:
         profile = neighbour_counts(g, cell_of, cells[i][0])
-        d[(i, i)] = profile.pop(i, 0)
-        kinds[i] = _classify_cell(sizes[i], d[(i, i)])
+        kinds[i] = _classify_cell(sizes[i], profile.pop(i, 0))
         for j, count in profile.items():
-            d[(i, j)] = count
-            if j < i and sizes[j] > 1:  # equitable: d[j, i] > 0 too, read with cell j
-                pair_kinds[(j, i)] = (  # by the degree into the smaller cell, j on ties
-                    _classify_pair(sizes[i], d[(j, i)]) if sizes[i] < sizes[j]
+            if j < i and sizes[j] > 1:
+                pair_kinds[(j, i)] = (
+                    _classify_pair(sizes[i], sizes[i] * count // sizes[j]) if sizes[i] < sizes[j]
                     else _classify_pair(sizes[j], count))
     return CellGraph(
-        graph=g, partition=p, cell_sizes=sizes, nonsingleton=nonsingleton, d=d,
+        graph=g, partition=p, cell_sizes=sizes, nonsingleton=nonsingleton,
         cell_kinds=tuple(kinds), pair_kinds=pair_kinds,
     )
 

@@ -14,9 +14,10 @@ from graphsym import (
 )
 from graphsym.cells import component_rows
 from graphsym.errors import NotEquitable
-from graphsym.generators import generate, named
+from graphsym.generators import generate, named, random_amenable
 
 from .conftest import BRANCHED_SPEC, every_component, graphs
+from .test_acceptance import _CountingRow
 
 
 def cell_graph_of(g):
@@ -29,12 +30,10 @@ def test_figure1_kinds_and_pairs(figure1):
     assert cg.cell_kinds == (
         CellKind.EMPTY, CellKind.EMPTY, CellKind.MATCHING, CellKind.EMPTY,
     )
-    assert cg.pair_kind(0, 1) is PairKind.ISO_COMPLETE
-    assert cg.pair_kind(0, 2) is PairKind.ISO_COMPLETE
-    assert cg.pair_kind(0, 3) is PairKind.ISO_EMPTY
-    assert cg.pair_kind(1, 2) is PairKind.ISO_EMPTY
-    assert cg.pair_kind(1, 3) is PairKind.ANISO_STARS
-    assert cg.center_cell(1, 3) == 3
+    # pairs (0, 3) and (1, 2) have no edge, so no row
+    assert [(q["i"], q["j"], q["kind"], q.get("centers")) for q in cg.to_json()["pairs"]] == [
+        (0, 1, "iso_complete", None), (0, 2, "iso_complete", None), (1, 3, "aniso_stars", 3)]
+    assert cg.pair_kinds == {(1, 3): PairKind.ANISO_STARS}
 
 
 def test_c5_cell_kind():
@@ -159,19 +158,53 @@ def test_decreasing_sizes_reported():
     assert comp.findings() == [("C", "cell sizes decrease along 1 -> 2", (1, 2))]
 
 
+# A(2) -> B(6) -> C(3): A's vertices 0, 1 are the centers of stars into B,
+# and C's vertex 8 + k is matched to B's vertices 2 + 2k and 3 + 2k
+A_TO_B = [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
+B_STARS_C = [(8 + k, b) for k in range(3) for b in (2 + 2 * k, 3 + 2 * k)]
+B_CO_STARS_C = [(8 + k, b) for k in range(3) for b in range(2, 8)
+                if b not in (2 + 2 * k, 3 + 2 * k)]
+
+
+@pytest.mark.parametrize("join, kind, d_bc, d_cb", [
+    (B_STARS_C, PairKind.ANISO_STARS, 1, 2),
+    (B_CO_STARS_C, PairKind.ANISO_CO_STARS, 2, 4),
+], ids=["stars", "co_stars"])
+def test_pair_classified_from_the_smaller_higher_cell(join, kind, d_bc, d_cb):
+    # pair (1, 2) is classified when cell 2 is read, and cell 2 is the
+    # smaller: d[1, 2] = |2| d[2, 1] / |1| by double counting
+    cg = cell_graph_of(from_edge_list(11, A_TO_B + join))
+    assert cg.cell_sizes == (2, 6, 3)
+    assert cg.pair_kinds == {(0, 1): PairKind.ANISO_STARS, (1, 2): kind}
+    (row,) = (q for q in cg.to_json()["pairs"] if (q["i"], q["j"]) == (1, 2))
+    assert row == {"i": 1, "j": 2, "d_ij": d_bc, "d_ji": d_cb, "kind": kind.value, "centers": 2}
+
+
+def test_cells_json_reads_one_adjacency_row_per_cell():
+    # the degree constants come from each cell's lowest vertex, not from a
+    # walk over every edge
+    g, _ = random_amenable(2000, seed=1)
+    cg = cell_graph_of(g)
+    rows = tuple(map(_CountingRow, g.adjacency))
+    _CountingRow.visits = 0
+    out = cg._replace(graph=g._replace(adjacency=rows)).to_json()
+    assert out == cg.to_json()
+    bound = sum(len(g.adjacency[cell[0]]) for cell in cg.partition.cells)
+    assert bound < 2 * g.m and _CountingRow.visits <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_double_counting_identity(g):
     cg = cell_graph_of(g)
     cell_of = cg.partition.cell_of
-    # every ordered cell pair with an edge, singleton cells included
+    # a row for every cell pair with an edge, singleton cells included
     pairs = {(cell_of[u], cell_of[v]) for u in range(g.n) for v in g.adjacency[u]}
-    for i, j in pairs:
-        dij = cg.degree_constant(i, j)
-        assert dij > 0
-        assert cg.cell_sizes[i] * dij == cg.cell_sizes[j] * cg.degree_constant(j, i)
-        if i == j:
-            assert (dij * cg.cell_sizes[i]) % 2 == 0
+    rows = cg.to_json()["pairs"]
+    assert [(q["i"], q["j"]) for q in rows] == sorted((i, j) for i, j in pairs if i < j)
+    for q in rows:
+        assert q["d_ij"] > 0
+        assert cg.cell_sizes[q["i"]] * q["d_ij"] == cg.cell_sizes[q["j"]] * q["d_ji"]
 
 
 @settings(max_examples=60, deadline=None)

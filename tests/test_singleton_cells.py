@@ -1,13 +1,14 @@
 """Singleton cells are kept in bulk: the cell graph reads and classifies only
-cells of two or more vertices, and answers for singleton cells from the
-graph.  These tests check those answers against counts taken directly from
-the adjacency, that no record is built for a singleton cell, and that
-verdicts, failure indices and JSON read as if every singleton had one."""
+cells of two or more vertices.  These tests check the ``cells`` JSON rows
+and pair kinds against degree constants counted from the edges, that no
+record is built for a singleton cell, and that verdicts, failure indices
+and JSON read as if every singleton had one."""
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -39,15 +40,17 @@ NEAR_DISCRETE = near_discrete()
 ASYMMETRIC_TREE = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
 
 
-def _reference_counts(g, p) -> dict[tuple[int, int], int]:
-    """(i, j) -> neighbours in cell j of the lowest vertex of cell i, for j
-    with at least one; i == j included."""
-    out: dict[tuple[int, int], int] = {}
-    for i, cell in enumerate(p.cells):
-        for u in g.adjacency[cell[0]]:
-            key = (i, p.cell_of[u])
-            out[key] = out.get(key, 0) + 1
-    return out
+def _reference_degrees(g, p) -> dict[tuple[int, int], int]:
+    """(i, j) -> d[i, j], the edges between cells i and j over |i| (an edge
+    inside cell i counted twice), for each ordered pair with an edge, i == j
+    included; every quotient exact by double counting."""
+    edges: Counter = Counter()
+    for u, v in g.edges():
+        a, b = p.cell_of[u], p.cell_of[v]
+        edges[(a, b)] += 1
+        edges[(b, a)] += 1
+    assert all(count % len(p.cells[i]) == 0 for (i, _), count in edges.items())
+    return {(i, j): count // len(p.cells[i]) for (i, j), count in edges.items()}
 
 
 def _reference_pair(sizes, counts, i: int, j: int) -> tuple[PairKind, int | None]:
@@ -69,22 +72,22 @@ def _check_against_adjacency(g) -> None:
     p = stable_partition(g)
     cg = build_cell_graph(g, p)
     sizes = cg.cell_sizes
-    counts = _reference_counts(g, p)
-    for (i, j), count in counts.items():
-        assert cg.degree_constant(i, j) == count
-        if i == j:
-            continue
-        assert cg.degree_constant(j, i) == counts[(j, i)]
-        kind, centre = _reference_pair(sizes, counts, min(i, j), max(i, j))
-        got = cg.pair_kind(i, j)
-        stars = got in (PairKind.ANISO_STARS, PairKind.ANISO_CO_STARS)
-        assert (got, cg.center_cell(i, j) if stars else None) == (kind, centre)
-        assert (cg.pair_kind(j, i), cg.center_cell(j, i)) == (got, cg.center_cell(i, j))
+    degrees = _reference_degrees(g, p)
+    rows = cg.to_json()["pairs"]
+    assert [(q["i"], q["j"]) for q in rows] == sorted((i, j) for i, j in degrees if i < j)
+    for q in rows:
+        i, j = q["i"], q["j"]
+        kind, centre = _reference_pair(sizes, degrees, i, j)
+        assert (q["d_ij"], q["d_ji"], q["kind"], q.get("centers")) == (
+            degrees[(i, j)], degrees[(j, i)], kind.value, centre)
+        if sizes[i] > 1 and sizes[j] > 1:
+            assert cg.pair_kinds[(i, j)] is kind
+    assert set(cg.pair_kinds) == {
+        (i, j) for i, j in degrees if i < j and sizes[i] > 1 and sizes[j] > 1}
     for i, size in enumerate(sizes):
+        assert cg.cell_kinds[i] is cells_module._classify_cell(size, degrees.get((i, i), 0))
         if size == 1:
-            assert cg.cell_kinds[i] is CellKind.EMPTY and cg.degree_constant(i, i) == 0
-    assert [(q["i"], q["j"]) for q in cg.to_json()["pairs"]] == sorted(
-        (i, j) for i, j in counts if i < j)
+            assert cg.cell_kinds[i] is CellKind.EMPTY
 
 
 @settings(max_examples=80, deadline=None)

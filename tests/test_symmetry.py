@@ -353,7 +353,7 @@ def test_leg_recursions_ignore_the_walk_order():
         n = sum(sizes)
         cg = CellGraph(
             graph=from_edge_list(n, []), partition=Partition.from_colors([0] * n), cell_sizes=sizes,
-            nonsingleton=tuple(range(len(sizes))), d={},
+            nonsingleton=tuple(range(len(sizes))),
             cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (len(sizes) - 1),
             pair_kinds={},
         )
@@ -385,7 +385,7 @@ def test_shape_key_of_a_deep_path_is_flat():
     )
     cg = CellGraph(
         graph=from_edge_list(2 * n, []), partition=Partition.from_colors([0] * (2 * n)),
-        cell_sizes=(2,) * n, nonsingleton=tuple(range(n)), d={},
+        cell_sizes=(2,) * n, nonsingleton=tuple(range(n)),
         cell_kinds=(CellKind.COMPLETE,) + (CellKind.EMPTY,) * (n - 1), pair_kinds={},
     )
     ids: dict = {}
