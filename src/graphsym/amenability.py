@@ -93,8 +93,8 @@ def _judge(g: Graph, p: Partition) -> AmenabilityVerdict:
 
     components = anisotropic_components(cg)
     findings = [(cond, comp.cells[0], idx, reason)
-                for idx, comp in enumerate(components) if len(comp.cells) > 1
-                for cond, reason, _cells in comp.findings()]  # a lone cell has none
+                for idx, comp in enumerate(components)
+                for cond, reason, _cells in comp.findings]
     if findings:
         cond, low, idx, reason = min(findings, key=lambda f: f[0])  # C before D, stable
         idx += low - cg.nonsingleton.index(low)  # the singleton cells below low

@@ -91,10 +91,13 @@ class Component(NamedTuple):
     it attains the minimum, with the lowest cell id breaking remaining ties.
     order is the breadth-first walk from the root (the root first, every
     cell after its parent), and parent and multiplicity come from it; all
-    three are empty when the component is not a tree.  decreasing are the
-    walk's tree edges along which cell sizes decrease; along the others the
-    parent's size divides the child's, by double counting: |large| d[large,
-    small] = |small| d[small, large], with d[large, small] = 1 or |small| - 1.
+    three are empty when the component is not a tree.  findings are
+    (condition, reason, cells involved) for each violation, C before D: a
+    component that is not a tree, each tree edge along which cell sizes
+    decrease, and more than one heterogeneous cell or a lone one off the
+    root.  Along the other edges the parent's size divides the child's, by
+    double counting: |large| d[large, small] = |small| d[small, large], with
+    d[large, small] = 1 or |small| - 1.
     """
 
     cells: tuple[int, ...]
@@ -102,25 +105,12 @@ class Component(NamedTuple):
     order: tuple[int, ...]
     parent: dict[int, int]
     multiplicity: dict[int, int]  # child cell id -> |child| / |parent|
-    het_cells: tuple[int, ...] = ()
-    decreasing: tuple[tuple[int, int], ...] = ()  # (parent, child)
+    heterogeneous: bool = False  # a cell of the component is heterogeneous
+    findings: tuple[tuple[str, str, tuple[int, ...]], ...] = ()
 
     @property
     def is_tree(self) -> bool:
         return bool(self.order)
-
-    def findings(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        """(condition, reason, cells involved) for each violation of C, then D."""
-        out: list[tuple[str, str, tuple[int, ...]]] = []
-        if not self.is_tree:
-            out.append(("C", "not a tree", self.cells))
-        for parent, child in self.decreasing:
-            out.append(("C", f"cell sizes decrease along {parent} -> {child}", (parent, child)))
-        if len(self.het_cells) > 1:
-            out.append(("D", "more than one heterogeneous cell", self.het_cells))
-        elif self.het_cells and self.het_cells[0] != self.root:
-            out.append(("D", "heterogeneous cell is not of minimum size", self.het_cells))
-        return out
 
     def to_json(self) -> dict:
         out: dict = {
@@ -128,13 +118,12 @@ class Component(NamedTuple):
             "root": self.root,
             "parents": {str(c): p for c, p in sorted(self.parent.items())},
             "multiplicities": {str(c): m for c, m in sorted(self.multiplicity.items())},
-            "heterogeneous": bool(self.het_cells),
+            "heterogeneous": self.heterogeneous,
         }
-        findings = self.findings() if len(self.cells) > 1 else ()  # a lone cell has none
-        if findings:
+        if self.findings:
             out["findings"] = [
                 {"condition": cond, "reason": reason, "cells": list(cells)}
-                for cond, reason, cells in findings
+                for cond, reason, cells in self.findings
             ]
         return out
 
@@ -204,7 +193,7 @@ def _classify_pair(s_small: int, into_small: int) -> PairKind:
 def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
     # a cell without anisotropic pairs: a tree without edges, rooted at itself
     return Component(cells=(cell,), root=cell, order=(cell,), parent={}, multiplicity={},
-                     het_cells=(cell,) if heterogeneous else ())
+                     heterogeneous=heterogeneous)
 
 
 def _lone_row(cell: int) -> dict:  # _lone_component(cell).to_json()
@@ -228,8 +217,8 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
 
     A singleton cell is a component of its own with no record: it adds
     D = 1 and Fix = 0, and component_rows writes its JSON row.  Structural
-    problems are recorded on each Component (see
-    Component.findings), never raised; check_amenable judges C and D from them.
+    problems are recorded in each Component's findings, never raised;
+    check_amenable judges C and D from them.
     """
     sizes, kinds = cg.cell_sizes, cg.cell_kinds
     adj: dict[int, list[int]] = {i: [] for i in cg.nonsingleton}
@@ -257,15 +246,11 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
                     comp.append(y)
                     stack.append(y)
         comp.sort()
-        het = tuple(c for c in comp if _heterogeneous(kinds[c]))
-        min_size = min(sizes[c] for c in comp)
-        root = next((c for c in het if sizes[c] == min_size), None)
-        if root is None:
-            root = next(c for c in comp if sizes[c] == min_size)
+        root = min(comp, key=lambda c: (sizes[c], not _heterogeneous(kinds[c]), c))
         parent: dict[int, int] = {}
         multiplicity: dict[int, int] = {}
-        decreasing: list[tuple[int, int]] = []
         order = [root] if degree_sum == 2 * (len(comp) - 1) else []  # only a tree is walked
+        findings = [] if order else [("C", "not a tree", tuple(comp))]
         for x in order:  # breadth-first; order grows as the walk goes
             up = parent.get(x)
             for y in adj[x]:
@@ -274,11 +259,16 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
                 parent[y] = x
                 order.append(y)
                 if sizes[y] < sizes[x]:
-                    decreasing.append((x, y))
+                    findings.append(("C", f"cell sizes decrease along {x} -> {y}", (x, y)))
                 else:
                     multiplicity[y] = sizes[y] // sizes[x]
+        het = tuple(c for c in comp if _heterogeneous(kinds[c]))
+        if len(het) > 1:
+            findings.append(("D", "more than one heterogeneous cell", het))
+        elif het and het[0] != root:
+            findings.append(("D", "heterogeneous cell is not of minimum size", het))
         comps.append(Component(
             cells=tuple(comp), root=root, order=tuple(order), parent=parent,
-            multiplicity=multiplicity, het_cells=het, decreasing=tuple(decreasing),
+            multiplicity=multiplicity, heterogeneous=bool(het), findings=tuple(findings),
         ))
     return tuple(comps)

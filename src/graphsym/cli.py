@@ -65,8 +65,8 @@ EXIT_REFUSED = 2  # NotAmenable or TooLarge
 EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
 
 # iso forks only when the smaller input file has at least this many bytes.
-# Below it the fork costs more than the overlap saves: forking for every
-# file made iso on 7-vertex graphs about 3-5 % slower.
+# Above it the gain depends on the graph (README, iso); ROADMAP item 9
+# sets the bound from the benchmark's recorded data.
 FORK_MIN_BYTES = 16 << 10
 
 

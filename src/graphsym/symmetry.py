@@ -13,6 +13,7 @@ checks them lives in the oracle module.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import isqrt
 from typing import NamedTuple, Sequence
 
@@ -156,18 +157,11 @@ def _least_colors(sizes: Sequence[int], comp: Component, d_star: int) -> int:
     def reaches(c: int) -> bool:
         return leg_dist_count(sizes, comp, c, cap) >= d_star
 
-    lo, hi = 1, n_i
-    if not reaches(hi):
+    if not reaches(n_i):
         raise InternalError(
-            f"leg count below D(head) = {d_star} even with {hi} colors"
+            f"leg count below D(head) = {d_star} even with {n_i} colors"
         )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return 1 + bisect_left(range(1, n_i), True, key=reaches)
 
 
 def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
@@ -177,9 +171,10 @@ def component_report(cg: CellGraph, comp: Component) -> ComponentReport:
     the legs are rigid, else |head| times the leg fixing number.  The
     component must pass recognition's checks of conditions C and D.
     """
-    if findings := comp.findings():
+    if comp.findings or not comp.is_tree:
+        cond, reason, _cells = comp.findings[0] if comp.findings else ("C", "not a tree", ())
         raise InternalError("component rooted at cell %d fails condition %s: %s"
-                            % (comp.root, *findings[0][:2]))
+                            % (comp.root, cond, reason))
     size = cg.cell_sizes[comp.root]
     shape, d_head, fix_head = head(cg.cell_kinds[comp.root], size)
     legs = leg_fix(comp)

@@ -6,6 +6,7 @@ regressions pin the worked-example values and closed forms exactly.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from math import comb
@@ -223,26 +224,37 @@ def test_criterion_8_cr_blind_spots():
 
 
 def test_criterion_9_scaling():
+    """Each size's best dist + fix time over five rounds, the sizes
+    interleaved within each round so that a burst of load on the host slows
+    one sample of each size rather than every sample of one; the collector
+    is off while timing, as it is in a ``graphsym`` process."""
     sizes = [10_000, 20_000, 40_000, 80_000, 160_000]
     dist_number(random_amenable(2000, seed=99)[0])  # warm up
+    drawn = [random_amenable(size, seed=1000 + i)[0] for i, size in enumerate(sizes)]
+    dist_s = [float("inf")] * len(drawn)
+    fix_s = [float("inf")] * len(drawn)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for k, g in enumerate(drawn):
+                t0 = time.perf_counter()
+                dist_number(g)
+                t1 = time.perf_counter()
+                fix_number(g)
+                t2 = time.perf_counter()
+                dist_s[k] = min(dist_s[k], t1 - t0)
+                fix_s[k] = min(fix_s[k], t2 - t1)
+    finally:
+        if enabled:
+            gc.enable()
     times = []
-    for i, size in enumerate(sizes):
-        g, _ = random_amenable(size, seed=1000 + i)
-        dist_s, fix_s = [], []
-        for _ in range(2):  # best of two damps timer noise
-            t0 = time.perf_counter()
-            dist_number(g)
-            t1 = time.perf_counter()
-            fix_number(g)
-            t2 = time.perf_counter()
-            dist_s.append(t1 - t0)
-            fix_s.append(t2 - t1)
-        best_d, best_f = min(dist_s), min(fix_s)
+    for g, best_d, best_f in zip(drawn, dist_s, fix_s):
         assert best_d < 5.0, f"dist at n={g.n} took {best_d:.2f} s"
         assert best_f < 5.0, f"fix at n={g.n} took {best_f:.2f} s"
         times.append((g.n, best_d + best_f))
     ratios = [times[i + 1][1] / times[i][1] for i in range(1, len(times) - 1)]
-    assert all(r <= 3.0 for r in ratios), f"doubling ratios {ratios}"
+    assert all(r <= 3.0 for r in ratios), f"doubling ratios {ratios} of (n, s) {times}"
     table = ", ".join(f"n={n}: {t:.2f}s" for n, t in times)
     print(f"\nACCEPTANCE 9 PASS: {table}; doubling ratios {[f'{r:.2f}' for r in ratios]}")
 

@@ -7,9 +7,12 @@ from graphsym import (
     CellKind,
     PairKind,
     Partition,
+    analyze,
     anisotropic_components,
     build_cell_graph,
+    check_amenable,
     from_edge_list,
+    oracle,
     stable_partition,
 )
 from graphsym.cells import component_rows
@@ -70,7 +73,8 @@ def test_figure1_components(figure1):
     assert [r["cells"] for r in rows] == [[0], [1, 3], [2]]
     assert comps[0].root == 3
     assert comps[0].multiplicity == {1: 2}
-    assert not rows[0]["heterogeneous"] and comps[1].het_cells
+    assert not rows[0]["heterogeneous"] and comps[1].heterogeneous
+    assert [c.findings for c in comps] == [(), ()]
 
 
 def test_single_cell_component():
@@ -106,8 +110,8 @@ def test_multiple_heterogeneous_reported():
     cg = cell_graph_of(g)
     assert cg.cell_kinds == (CellKind.MATCHING, CellKind.MATCHING)
     (comp,) = anisotropic_components(cg)
-    assert comp.is_tree and comp.het_cells == (0, 1)
-    assert comp.findings() == [("D", "more than one heterogeneous cell", (0, 1))]
+    assert comp.is_tree and comp.heterogeneous
+    assert comp.findings == (("D", "more than one heterogeneous cell", (0, 1)),)
 
 
 def _star_cycle_graph():
@@ -128,7 +132,7 @@ def test_cyclic_anisotropic_component_reported():
     (comp,) = anisotropic_components(cg)
     assert comp.cells == (0, 1, 2) and not comp.is_tree
     assert comp.parent == {} and comp.multiplicity == {}
-    assert comp.findings() == [("C", "not a tree", (0, 1, 2))]
+    assert comp.findings == (("C", "not a tree", (0, 1, 2)),)
 
 
 def test_heterogeneous_cell_off_minimum_reported():
@@ -140,10 +144,26 @@ def test_heterogeneous_cell_off_minimum_reported():
     cg = cell_graph_of(g)
     (comp,) = anisotropic_components(cg)
     assert cg.cell_sizes[comp.root] == 2 and cg.cell_kinds[comp.root] is CellKind.EMPTY
-    het = comp.het_cells[0]
+    (het,) = (c for c in comp.cells if cg.cell_kinds[c] is not CellKind.EMPTY)
     assert cg.cell_kinds[het] is CellKind.MATCHING and cg.cell_sizes[het] == 4
-    assert comp.is_tree and comp.decreasing == ()
-    assert comp.findings() == [("D", "heterogeneous cell is not of minimum size", (het,))]
+    assert comp.is_tree and comp.heterogeneous
+    assert comp.findings == (("D", "heterogeneous cell is not of minimum size", (het,)),)
+
+
+def test_heterogeneous_cell_wins_a_size_tie():
+    # empty cell 0 = {0..3} and matching cell 1 = {4..7}, joined by a perfect
+    # matching: sizes tie, and the heterogeneous cell 1 is the root
+    g = from_edge_list(8, [(4, 5), (6, 7)] + [(i, 4 + i) for i in range(4)])
+    cg = cell_graph_of(g)
+    assert cg.cell_sizes == (4, 4)
+    assert cg.cell_kinds == (CellKind.EMPTY, CellKind.MATCHING)
+    (comp,) = anisotropic_components(cg)
+    assert comp.root == 1 and comp.heterogeneous and comp.findings == ()
+    verdict = check_amenable(g)
+    assert verdict.amenable and verdict.failure is None
+    report = analyze(g, verdict=verdict)
+    assert (report.dist_number, report.fix_number) == (2, 2)
+    assert (oracle.dist_number_bf(g), oracle.fix_number_bf(g)) == (2, 2)
 
 
 def test_decreasing_sizes_reported():
@@ -154,8 +174,8 @@ def test_decreasing_sizes_reported():
     assert cg.cell_sizes == (2, 6, 3)
     (comp,) = anisotropic_components(cg)
     assert comp.root == 0 and comp.parent == {1: 0, 2: 1}
-    assert comp.multiplicity == {1: 3} and comp.decreasing == ((1, 2),)
-    assert comp.findings() == [("C", "cell sizes decrease along 1 -> 2", (1, 2))]
+    assert comp.multiplicity == {1: 3}
+    assert comp.findings == (("C", "cell sizes decrease along 1 -> 2", (1, 2)),)
 
 
 # A(2) -> B(6) -> C(3): A's vertices 0, 1 are the centers of stars into B,
@@ -222,7 +242,9 @@ def test_multiplicities_positive_and_consistent(g):
             assert set(comp.parent) == set(comp.order[1:])
             position = {x: k for k, x in enumerate(comp.order)}
             assert all(position[p] < position[c] for c, p in comp.parent.items())
-        assert set(comp.multiplicity) | {c for _, c in comp.decreasing} == set(comp.parent)
+        decreasing = {cells[1] for cond, reason, cells in comp.findings
+                      if reason.startswith("cell sizes decrease")}
+        assert set(comp.multiplicity) | decreasing == set(comp.parent)
         for child, m in comp.multiplicity.items():
             parent = comp.parent[child]
             assert m >= 1

@@ -185,7 +185,7 @@ def test_unsupported_root_kind_is_loud():
     g = named("kab", 3, 3)  # single OTHER cell; never reaches here via check_amenable
     cg = build_cell_graph(g, stable_partition(g))
     comp = Component(cells=(0,), root=0, order=(0,), parent={},
-                     multiplicity={}, het_cells=(0,))
+                     multiplicity={}, heterogeneous=True)
     with pytest.raises(InternalError, match="unsupported kind"):
         component_report(cg, comp)
 
@@ -211,13 +211,15 @@ def test_component_report_rejects_a_bad_edge(figure1):
     (child,) = comp.order[1:]
     bad = Component(
         cells=comp.cells, root=comp.root, order=comp.order, parent=comp.parent,
-        multiplicity={}, decreasing=((comp.root, child),),
+        multiplicity={}, findings=(
+            ("C", f"cell sizes decrease along {comp.root} -> {child}", (comp.root, child)),),
     )
     with pytest.raises(InternalError):
         component_report(verdict.cell_graph, bad)
+    # a record without findings that is still no tree
     cyclic = Component(cells=comp.cells, root=comp.root, order=(), parent={},
                        multiplicity={})
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="fails condition C: not a tree"):
         component_report(verdict.cell_graph, cyclic)
 
 
@@ -225,10 +227,11 @@ def test_component_report_rejects_a_condition_d_failure(figure1):
     verdict = check_amenable(figure1)
     comp = verdict.components[0]  # cells 1 and 3, a star pair with no heterogeneous cell
     (child,) = comp.order[1:]
-    for het, reason in (((child,), "not of minimum size"),
+    for het, reason in (((child,), "heterogeneous cell is not of minimum size"),
                         ((comp.root, child), "more than one heterogeneous cell")):
-        with pytest.raises(InternalError, match=f"fails condition D: .*{reason}"):
-            component_report(verdict.cell_graph, comp._replace(het_cells=het))
+        failing = comp._replace(heterogeneous=True, findings=(("D", reason, het),))
+        with pytest.raises(InternalError, match=f"fails condition D: {reason}"):
+            component_report(verdict.cell_graph, failing)
 
 
 def test_degenerate_sizes():
