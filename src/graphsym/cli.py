@@ -21,16 +21,21 @@ runs.  ``run`` is the entry for library callers and tests; it leaves the
 collector as it found it and returns the exit code.
 
 Each command imports the modules it runs when it runs, so an answer does
-not pay for loading the symmetry, oracle or generator code it never uses.
+not pay for loading code it never uses.  Importing this module loads only
+``errors``, ``formats`` and ``graph``; ``refine`` adds ``refinement``,
+``cells`` adds ``refinement`` and ``cells``, ``amenable`` and ``iso`` on
+equal degree sequences add those and ``amenability``, and ``dist`` and
+``fix`` add ``symmetry`` as well.
 
 ``iso`` answers NotIsomorphic on differing sorted degree sequences before
-either graph is refined, and otherwise compares the two quotients.  It
-loads and refines its second graph in a forked child while it does the
+the refinement code is loaded, and otherwise compares the two quotients.
+It loads and refines its second graph in a forked child while it does the
 first, when both inputs are regular files of at least FORK_MIN_BYTES, the
 process may run on two or more CPUs and the platform has ``os.fork``.  The
 child writes two frames to a pipe, each an 8-byte length and then the
-marshalled bytes: its degree sequence, flushed before it refines, and then
-its quotient.  The parent reads the first before refining the first graph;
+marshalled bytes: its degree sequence, flushed before it loads the
+refinement code and refines, and then its quotient.  The parent reads the
+first before it loads the refinement code and refines the first graph;
 without a child the stages keep that order.  If the fork fails or a frame
 is missing or unreadable, the second graph is loaded in process, so every
 answer, error and exit code is the one without a child.  The child is
@@ -49,15 +54,12 @@ import stat
 import sys
 from typing import BinaryIO
 
-from .amenability import IsoVerdict, check_amenable, iso_from_quotients
-from .cells import anisotropic_components, cell_graph_of_equitable, component_rows
 from .errors import (
     BadEdgeList, BadGraph6, BadSpec, GraphSymError, InternalError, NotAmenable, TooLarge,
     UsageError,
 )
 from .formats import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graph import Graph
-from .refinement import _quotient, stable_partition
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -65,7 +67,8 @@ EXIT_REFUSED = 2  # NotAmenable or TooLarge
 EXIT_INTERNAL = 3  # InternalError, or any other exception: a bug
 
 # iso forks only when the smaller input file has at least this many bytes.
-# Above it the gain depends on the graph (README, iso); ROADMAP item 9
+# Above it the gain depends on the graph: none on the benchmark's tree
+# files, 14-17 % on its chain and gnm files (README, iso).  ROADMAP item 9
 # sets the bound from the benchmark's recorded data.
 FORK_MIN_BYTES = 16 << 10
 
@@ -132,17 +135,24 @@ def _fail(args, exc: Exception, code: int) -> int:
 
 
 def _cmd_refine(g: Graph, args) -> tuple[dict, str | None]:
+    from .refinement import stable_partition
+
     p = stable_partition(g)
     return p.to_json(), None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
 
 
 def _cmd_cells(g: Graph, args) -> tuple[dict, str | None]:
+    from .cells import anisotropic_components, cell_graph_of_equitable, component_rows
+    from .refinement import stable_partition
+
     cg = cell_graph_of_equitable(g, stable_partition(g))
     rows = component_rows(cg.cell_sizes, anisotropic_components(cg))
     return {**cg.to_json(), "components": rows}, None
 
 
 def _cmd_amenable(g: Graph, args) -> tuple[dict, str | None]:
+    from .amenability import check_amenable
+
     verdict = check_amenable(g)
     human = "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
     return verdict.to_json(), human
@@ -197,8 +207,14 @@ def _fork_quotient(path: str, fmt: str | None) -> tuple[int, BinaryIO] | None:
         try:
             os.close(fd)
             h = _load_graph(path, fmt)
-            with open(w, "wb") as out:  # the degree frame is flushed before h is refined
-                for value in (h.degree_sequence, lambda: _quotient(h)[1]):
+
+            def quotient():  # called once the degree frame is flushed
+                from .refinement import _quotient
+
+                return _quotient(h)[1]
+
+            with open(w, "wb") as out:
+                for value in (h.degree_sequence, quotient):
                     data = marshal.dumps(value())
                     out.write(len(data).to_bytes(8, "little") + data)
                     out.flush()
@@ -230,13 +246,16 @@ def _cmd_iso(args) -> tuple[dict, str | None]:
             h = _load_graph(args.other, args.format)
             degrees = h.degree_sequence()
         if degrees != g.degree_sequence():  # so the degree partitions, and the quotients, differ
-            verdict = IsoVerdict.NOT_ISOMORPHIC
+            verdict = "NotIsomorphic"  # IsoVerdict.NOT_ISOMORPHIC.value, amenability not loaded
         else:
+            from .amenability import iso_from_quotients
+            from .refinement import _quotient
+
             raw, q_g = _quotient(g)
             q_h = _frame(child[1]) if h is None else None
             if q_h is None:  # h was loaded here, or the child failed after its first frame
                 q_h = _quotient(_load_graph(args.other, args.format) if h is None else h)[1]
-            verdict = iso_from_quotients(g, raw, q_g, q_h)
+            verdict = iso_from_quotients(g, raw, q_g, q_h).value
     finally:
         if child is not None:  # done, failed, or its quotient is not needed
             import signal
@@ -245,7 +264,7 @@ def _cmd_iso(args) -> tuple[dict, str | None]:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still the child
             os.waitpid(pid, 0)
-    return {"verdict": verdict.value}, verdict.value
+    return {"verdict": verdict}, verdict
 
 
 def _cmd_oracle(g: Graph, args) -> tuple[dict, str | None]:

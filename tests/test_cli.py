@@ -406,12 +406,12 @@ def test_oracle_answers_past_the_recursion_limit(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_internal_error(fig1_file, capsys, monkeypatch):
-    from graphsym import cli
+    from graphsym import amenability
 
     def broken(_g):
         return 1 // 0
 
-    monkeypatch.setattr(cli, "check_amenable", broken)
+    monkeypatch.setattr(amenability, "check_amenable", broken)
     assert run(["--json", "amenable", fig1_file]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "InternalError"
@@ -420,13 +420,13 @@ def test_unexpected_exception_is_internal_error(fig1_file, capsys, monkeypatch):
 
 
 def test_internal_error_exit_code(fig1_file, capsys, monkeypatch):
-    from graphsym import cli
+    from graphsym import amenability
     from graphsym.errors import InternalError
 
     def broken(_g):
         raise InternalError("invariant violated")
 
-    monkeypatch.setattr(cli, "check_amenable", broken)
+    monkeypatch.setattr(amenability, "check_amenable", broken)
     assert run(["--json", "amenable", fig1_file]) == 3
     assert json.loads(capsys.readouterr().out) == {
         "error": "InternalError", "message": "invariant violated"}
@@ -481,7 +481,8 @@ def test_help_exits_0(capsys):
 
 
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+exec(os.environ.get("SETUP", ""))
 from graphsym.cli import build_parser, run
 imported = set(sys.modules)
 if sys.argv[1:]:
@@ -497,8 +498,8 @@ def test_commands_load_only_the_modules_they_run(fig1_file, big_files):
     src = os.path.dirname(os.path.dirname(graphsym.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
-    def python(*args) -> str:
-        return subprocess.run([sys.executable, "-c", *args], env=env,
+    def python(*args, setup: str = "") -> str:
+        return subprocess.run([sys.executable, "-c", *args], env={**env, "SETUP": setup},
                               capture_output=True, text=True, check=True).stdout
 
     # slow to import, and not needed by an answer; a bare interpreter may
@@ -507,25 +508,34 @@ def test_commands_load_only_the_modules_they_run(fig1_file, big_files):
               "multiprocessing", "subprocess", "pickle", "concurrent"}
     costly -= set(python("import sys; print(*sys.modules)").split())
 
-    def loaded(*argv):
-        code, parsed, modules = json.loads(python(_LOADED, *argv))
+    def loaded(*argv, setup: str = ""):
+        code, parsed, modules = json.loads(python(_LOADED, *argv, setup=setup))
         assert code == 0
         assert parsed == [], argv  # the parser refers to commands, importing none
         if argv[:1] != ("oracle",):  # the brute-force cross-check is written with dataclasses
             assert not costly & set(modules), argv
         return {m for m in modules if m.startswith("graphsym.")}
 
-    base = loaded()
-    assert not base & {"graphsym.oracle", "graphsym.generators", "graphsym.symmetry"}
-    for command in ("refine", "cells", "amenable"):
-        assert loaded(command, fig1_file) == base, command
-    assert loaded("iso", fig1_file, fig1_file) == base
-    assert loaded("iso", big_files["g"], big_files["copy"]) == base  # forks where it can
+    base = {"graphsym.cli", "graphsym.errors", "graphsym.formats", "graphsym.graph"}
+    refinement = base | {"graphsym.refinement"}
+    cells = refinement | {"graphsym.cells"}
+    amenability = cells | {"graphsym.amenability"}
+    assert loaded() == base
+    assert loaded("refine", fig1_file) == refinement
+    assert loaded("cells", fig1_file) == cells
+    assert loaded("amenable", fig1_file) == amenability
+    assert loaded("iso", fig1_file, fig1_file) == amenability
+    assert loaded("iso", big_files["g"], big_files["copy"]) == amenability  # forks where it can
+    forked = "os.sched_getaffinity = lambda pid: {0, 1}"  # _fork_pays on any host
+    in_process = "del os.fork"
+    for setup in (forked, in_process):  # the degrees differ: nothing is refined
+        assert loaded("iso", big_files["g"], big_files["moved"], setup=setup) == base, setup
     for command in ("dist", "fix"):
-        assert loaded(command, fig1_file) == base | {"graphsym.symmetry"}, command
-    assert loaded("oracle", "aut", fig1_file, "--max-oracle-n", "11") == base | {"graphsym.oracle"}
+        assert loaded(command, fig1_file) == amenability | {"graphsym.symmetry"}, command
+    assert loaded("oracle", "aut", fig1_file, "--max-oracle-n", "11") == (
+        cells | {"graphsym.oracle"})
     for argv in (["named", "kn", "3"], ["random", "--n", "5"]):
-        assert loaded("gen", *argv) == base | {"graphsym.generators"}, argv
+        assert loaded("gen", *argv) == refinement | {"graphsym.generators"}, argv
 
 
 PAYLOAD_COMMANDS = [["cells"], ["dist", "--components"], ["fix", "--components"]]
@@ -711,10 +721,10 @@ def test_iso_loads_in_process_when_the_child_fails(big_files, monkeypatch, capsy
     """The child fails after its degree frame (raises, killed), sends a
     frame that cannot be read (short_header) or a quotient that cannot be
     read (short_write): the second graph is loaded and refined in process."""
-    from graphsym import cli
+    from graphsym import refinement
 
     parent = os.getpid()
-    quotient, dumps = cli._quotient, marshal.dumps
+    quotient, dumps = refinement._quotient, marshal.dumps
     truncated = {"short_header": tuple, "short_write": dict}.get(failure, ())
     in_parent = []
 
@@ -733,7 +743,7 @@ def test_iso_loads_in_process_when_the_child_fails(big_files, monkeypatch, capsy
             return data[:len(data) // 2]
         return data
 
-    monkeypatch.setattr(cli, "_quotient", child_quotient)
+    monkeypatch.setattr(refinement, "_quotient", child_quotient)
     monkeypatch.setattr(marshal, "dumps", short_dumps)
     assert run(["--json", "iso", big_files["g"], big_files["copy"]]) == 0
     assert json.loads(capsys.readouterr().out) == {"verdict": "Isomorphic"}
@@ -746,9 +756,9 @@ def test_iso_rejects_on_the_degree_sequences_before_either_quotient(big_files, i
     """A copy with one edge moved so that its degree sequence differs is
     NotIsomorphic, forked as in process, with no quotient built in the
     parent; the child, refining the second graph, is killed and reaped."""
-    from graphsym import cli
+    from graphsym import refinement
 
-    parent, quotient = os.getpid(), cli._quotient
+    parent, quotient = os.getpid(), refinement._quotient
     in_parent = []
 
     def counted(g):
@@ -756,7 +766,7 @@ def test_iso_rejects_on_the_degree_sequences_before_either_quotient(big_files, i
             in_parent.append(g.n)
         return quotient(g)
 
-    monkeypatch.setattr(cli, "_quotient", counted)
+    monkeypatch.setattr(refinement, "_quotient", counted)
     for flags, out in (([], "NotIsomorphic\n"), (["--json"], '{"verdict": "NotIsomorphic"}\n')):
         argv = [*flags, "iso", big_files["g"], big_files["moved"]]
         forks, forked, in_process = iso_both_ways(argv)
@@ -766,17 +776,30 @@ def test_iso_rejects_on_the_degree_sequences_before_either_quotient(big_files, i
     _no_child_left()
 
 
+def test_iso_reject_text_is_the_verdict_value(fig1_file, c6_file):
+    """The degree reject answers with IsoVerdict's text without loading
+    amenability; the literal must stay that value."""
+    import argparse
+
+    from graphsym import IsoVerdict
+    from graphsym.cli import _cmd_iso
+
+    text = IsoVerdict.NOT_ISOMORPHIC.value
+    args = argparse.Namespace(graph=fig1_file, other=c6_file, format=None)
+    assert _cmd_iso(args) == ({"verdict": text}, text)
+
+
 def test_iso_kills_the_child_when_the_first_graph_fails(big_files, monkeypatch, capsys, two_cpus):
     """A bug while refining the first graph is reported as ever, and the
     child, still loading the second, is killed and reaped."""
-    from graphsym import cli
+    from graphsym import refinement
 
-    parent, quotient = os.getpid(), cli._quotient
+    parent, quotient = os.getpid(), refinement._quotient
 
     def broken(g):
         return 1 // 0 if os.getpid() == parent else quotient(g)
 
-    monkeypatch.setattr(cli, "_quotient", broken)
+    monkeypatch.setattr(refinement, "_quotient", broken)
     assert run(["--json", "iso", big_files["g"], big_files["copy"]]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "InternalError"
     _no_child_left()
