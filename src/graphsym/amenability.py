@@ -23,6 +23,7 @@ from .cells import (
     anisotropic_components,
     cell_graph_of_equitable,
     component_rows,
+    components_text,
 )
 from .graph import Graph
 from .refinement import Partition, _quotient, stable_partition
@@ -66,6 +67,10 @@ class AmenabilityVerdict(NamedTuple):
         if self.components is not None:
             out["components"] = component_rows(self.cell_graph.cell_sizes, self.components)
         return out
+
+    def components_text(self) -> str:
+        """The JSON text of ``to_json()["components"]``, for an amenable verdict."""
+        return components_text(self.cell_graph.cell_sizes, self.components)
 
 
 def check_amenable(g: Graph) -> AmenabilityVerdict:

@@ -45,6 +45,17 @@ def _anisotropic(kind: PairKind) -> bool:
     return kind is PairKind.ANISO_STARS or kind is PairKind.ANISO_CO_STARS
 
 
+# The JSON text of the rows whose keys never vary and whose values are ints,
+# booleans, enum values or lists of ints, as json.dumps(row, sort_keys=True)
+# writes them: nothing in them needs escaping, and a list of ints prints as
+# its JSON.  So a list of thousands of rows is written without a dict a row.
+_CELL_ROW = '{"id": %d, "kind": "%s", "size": %d, "vertices": %s}'
+_PAIR_ROW = '{"d_ij": %d, "d_ji": %d, "i": %d, "j": %d, "kind": "%s"}'
+_STAR_PAIR_ROW = '{"centers": %d, ' + _PAIR_ROW[1:]
+_ONE_CELL_ROW = ('{"cells": [%d], "heterogeneous": %s, "multiplicities": {}, "parents": {}, '
+                 '"root": %d}')
+
+
 class CellGraph(NamedTuple):
     """Sizes and kinds over the cells of an equitable partition.
 
@@ -64,23 +75,43 @@ class CellGraph(NamedTuple):
     def to_json(self) -> dict:
         """Every cell, and every cell pair with an edge with its degree
         constants, read from the profile of each cell's lowest vertex."""
+        sizes, kinds = self.cell_sizes, self.cell_kinds
+        return {
+            "cells": [{"id": i, "size": sizes[i], "kind": kinds[i].value, "vertices": list(cell)}
+                      for i, cell in enumerate(self.partition.cells)],
+            "pairs": [{"i": i, "j": j, "d_ij": d_ij, "d_ji": d_ji, "kind": kind,
+                       **({} if centers is None else {"centers": centers})}
+                      for i, j, d_ij, d_ji, kind, centers in self._pairs()],
+        }
+
+    def cells_text(self) -> str:
+        """The JSON text of ``to_json()["cells"]``."""
+        sizes, kinds = self.cell_sizes, self.cell_kinds
+        return "[%s]" % ", ".join([
+            _CELL_ROW % (i, kinds[i].value, sizes[i], list(cell))
+            for i, cell in enumerate(self.partition.cells)])
+
+    def pairs_text(self) -> str:
+        """The JSON text of ``to_json()["pairs"]``."""
+        return "[%s]" % ", ".join([
+            _PAIR_ROW % (d_ij, d_ji, i, j, kind) if centers is None
+            else _STAR_PAIR_ROW % (centers, d_ij, d_ji, i, j, kind)
+            for i, j, d_ij, d_ji, kind, centers in self._pairs()])
+
+    def _pairs(self) -> list[tuple[int, int, int, int, str, int | None]]:
+        """(i, j, d[i, j], d[j, i], kind value, centers) of every cell pair
+        i < j with an edge, by i and then j; centers is the star centers'
+        cell, the smaller one and the lower id on ties, and None unless the
+        pair is anisotropic."""
         cell_of, cells, sizes = self.partition.cell_of, self.partition.cells, self.cell_sizes
         d = [neighbour_counts(self.graph, cell_of, cell[0]) for cell in cells]
-        return {
-            "cells": [
-                {"id": i, "size": sizes[i], "kind": self.cell_kinds[i].value,
-                 "vertices": list(cell)}
-                for i, cell in enumerate(cells)
-            ],
-            "pairs": [
-                {"i": i, "j": j, "d_ij": d[i][j], "d_ji": d[j][i], "kind": kind.value,
-                 **({"centers": min((sizes[i], i), (sizes[j], j))[1]}
-                    if _anisotropic(kind) else {})}
-                for i in range(len(cells)) for j in sorted(d[i]) if i < j
-                # a singleton cell with an edge into a cell is adjacent to all of it
-                for kind in (self.pair_kinds.get((i, j), PairKind.ISO_COMPLETE),)
-            ],
-        }
+        return [
+            (i, j, d[i][j], d[j][i], kind.value,
+             min((sizes[i], i), (sizes[j], j))[1] if _anisotropic(kind) else None)
+            for i in range(len(cells)) for j in sorted(d[i]) if i < j
+            # a singleton cell with an edge into a cell is adjacent to all of it
+            for kind in (self.pair_kinds.get((i, j), PairKind.ISO_COMPLETE),)
+        ]
 
 
 class Component(NamedTuple):
@@ -126,6 +157,16 @@ class Component(NamedTuple):
                 for cond, reason, cells in self.findings
             ]
         return out
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True)``, from a template
+        for a record of one cell, which has no parent and no finding."""
+        if len(self.cells) == 1:
+            return _ONE_CELL_ROW % (self.cells[0], "true" if self.heterogeneous else "false",
+                                    self.root)
+        import json  # loaded by the first record that needs it, not by importing cells
+
+        return json.dumps(self.to_json(), sort_keys=True, check_circular=False)
 
 
 def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
@@ -201,14 +242,26 @@ def _lone_row(cell: int) -> dict:  # _lone_component(cell).to_json()
             "heterogeneous": False}
 
 
+def _lone_text(cell: int) -> str:  # _lone_component(cell).json_text()
+    return _ONE_CELL_ROW % (cell, "false", cell)
+
+
 def component_rows(sizes: Sequence[int], records: Sequence,
-                   lone_row: Callable[[int], dict] = _lone_row) -> list[dict]:
+                   lone_row: Callable[[int], dict | str] = _lone_row,
+                   row: Callable = Component.to_json) -> list:
     """The JSON list of every component by lowest cell id, in one pass over
-    the cell ids: each record's ``to_json()`` at its lowest cell, and
+    the cell ids: ``row(record)`` at each record's lowest cell, and
     ``lone_row(cell)`` for each singleton cell, which has no record."""
     at = {r.cells[0]: r for r in records}
-    return [lone_row(i) if size == 1 else at[i].to_json()
+    return [lone_row(i) if size == 1 else row(at[i])
             for i, size in enumerate(sizes) if size == 1 or i in at]
+
+
+def components_text(sizes: Sequence[int], records: Sequence,
+                    lone_row: Callable[[int], str] = _lone_text,
+                    row: Callable = Component.json_text) -> str:
+    """The JSON text of component_rows, written by the ``json_text`` writers."""
+    return "[%s]" % ", ".join(component_rows(sizes, records, lone_row, row))
 
 
 def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:

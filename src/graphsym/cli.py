@@ -1,7 +1,10 @@
 """Command-line front end.
 
 A graph command maps the loaded graph and ``args`` to its answer ``(payload,
-human)``, and ``human=None`` means the payload is printed indented.  ``run``
+human)``, and ``human=None`` means the payload is printed indented.  Under
+--json, ``amenable``, ``cells`` and ``dist``/``fix --components`` hand over
+the payload as its text, which the row writers beside the records write
+byte for byte as ``json.dumps(payload, sort_keys=True)`` would.  ``run``
 loads the input, except for ``iso`` (which forks before it loads) and
 ``gen`` (which writes a graph and answers None), prints the answer and maps
 errors to exit codes.
@@ -108,10 +111,12 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
     return parse_edge_list(text)[0]
 
 
-def _emit(args, payload: dict, human: str | None) -> None:
+def _emit(args, payload: dict | str | None, human: str | None) -> None:
     """Print an answer (see the module docstring), the indented payload built only
     when printed, and flush it, so that a failing stdout raises inside run."""
-    if args.json or human is None:
+    if isinstance(payload, str):  # the --json text, written by the command
+        human = payload
+    elif args.json or human is None:
         human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True,
                            check_circular=False)  # a fresh tree of dicts and lists
     print(human, file=_std("stdout"), flush=True)
@@ -141,27 +146,38 @@ def _cmd_refine(g: Graph, args) -> tuple[dict, str | None]:
     return p.to_json(), None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
 
 
-def _cmd_cells(g: Graph, args) -> tuple[dict, str | None]:
-    from .cells import anisotropic_components, cell_graph_of_equitable, component_rows
+def _cmd_cells(g: Graph, args) -> tuple[dict | str, None]:
+    from .cells import (
+        anisotropic_components, cell_graph_of_equitable, component_rows, components_text,
+    )
     from .refinement import stable_partition
 
     cg = cell_graph_of_equitable(g, stable_partition(g))
-    rows = component_rows(cg.cell_sizes, anisotropic_components(cg))
-    return {**cg.to_json(), "components": rows}, None
+    records = anisotropic_components(cg)
+    if args.json:
+        return '{"cells": %s, "components": %s, "pairs": %s}' % (
+            cg.cells_text(), components_text(cg.cell_sizes, records), cg.pairs_text()), None
+    return {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}, None
 
 
-def _cmd_amenable(g: Graph, args) -> tuple[dict, str | None]:
+def _cmd_amenable(g: Graph, args) -> tuple[dict | str | None, str | None]:
     from .amenability import check_amenable
 
     verdict = check_amenable(g)
-    human = "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
-    return verdict.to_json(), human
+    if not args.json:
+        return None, "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
+    if verdict.amenable:
+        return '{"amenable": true, "components": %s}' % verdict.components_text(), None
+    return verdict.to_json(), None
 
 
-def _cmd_symmetry(g: Graph, args) -> tuple[dict, str | None]:
+def _cmd_symmetry(g: Graph, args) -> tuple[dict | str, str | None]:
     from .symmetry import analyze
 
     report = analyze(g)
+    if args.components and args.json:
+        return '{"components": %s, "dist_number": %d, "fix_number": %d}' % (
+            report.components_text(), report.dist_number, report.fix_number), None
     if args.components:
         return report.to_json(), None
     value = getattr(report, args.field)

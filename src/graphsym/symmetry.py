@@ -18,7 +18,7 @@ from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .amenability import AmenabilityVerdict, check_amenable
-from .cells import CellGraph, CellKind, Component, component_rows
+from .cells import CellGraph, CellKind, Component, component_rows, components_text
 from .errors import BadCap, InternalError, NotAmenable
 from .graph import Graph
 
@@ -107,6 +107,12 @@ def leg_fix(comp: Component) -> int:
     return val[root]
 
 
+# ComponentReport.json_text's template, as json.dumps(row, sort_keys=True)
+# writes a row of ints, a list of ints and an enum value (see cells.py)
+_REPORT_ROW = ('{"cells": %s, "d_head": %d, "dist": %d, "fix": %d, "fix_head": %d, '
+               '"head": {"shape": "%s", "size": %d}, "leg_fix": %d, "root": %d}')
+
+
 class ComponentReport(NamedTuple):
     cells: tuple[int, ...]
     root: int
@@ -125,10 +131,21 @@ class ComponentReport(NamedTuple):
             "dist": self.dist, "fix": self.fix,
         }
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True)``, from a template:
+        the keys never vary."""
+        return _REPORT_ROW % (list(self.cells), self.d_head, self.dist, self.fix,
+                              self.fix_head, self.head[0].value, self.head[1], self.leg_fix,
+                              self.root)
+
 
 def _singleton_row(cell: int) -> dict:  # a head K1 without legs, as ComponentReport.to_json
     return {"cells": [cell], "root": cell, "head": {"shape": "complete", "size": 1},
             "d_head": 1, "fix_head": 0, "leg_fix": 0, "dist": 1, "fix": 0}
+
+
+def _singleton_text(cell: int) -> str:  # as ComponentReport.json_text
+    return _REPORT_ROW % ([cell], 1, 1, 0, 0, "complete", 1, 0, cell)
 
 
 class SymmetryReport(NamedTuple):
@@ -141,8 +158,14 @@ class SymmetryReport(NamedTuple):
         return {
             "dist_number": self.dist_number,
             "fix_number": self.fix_number,
-            "components": component_rows(self.cell_sizes, self.components, _singleton_row),
+            "components": component_rows(self.cell_sizes, self.components, _singleton_row,
+                                         ComponentReport.to_json),
         }
+
+    def components_text(self) -> str:
+        """The JSON text of ``to_json()["components"]``."""
+        return components_text(self.cell_sizes, self.components, _singleton_text,
+                               ComponentReport.json_text)
 
 
 def _least_colors(sizes: Sequence[int], comp: Component, d_star: int) -> int:

@@ -569,6 +569,38 @@ def test_json_mode_builds_no_indented_text(fig1_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_json_mode_writes_per_cell_rows_from_templates(tmp_path, capsys, monkeypatch):
+    """Under --json only a multi-cell record's row goes through to_json: not
+    a singleton cell's, a one-cell record's or any symmetry row."""
+    from graphsym import symmetry
+    from graphsym.cells import Component
+    from graphsym.symmetry import ComponentReport
+
+    g = recursive_tree(random.Random(11), 2000)  # mostly singleton cells
+    path = _write(tmp_path / "tree.txt", format_edge_list(g))
+    records = check_amenable(g).components
+    multi = [r.cells for r in records if len(r.cells) > 1]
+    assert multi and len(multi) < len(records) < g.n // 2  # every kind of row occurs
+    calls = []
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls.append((name, args[0] if name == "singleton" else args[0].cells))
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(Component, "to_json", counting("component", Component.to_json))
+    monkeypatch.setattr(ComponentReport, "to_json", counting("report", ComponentReport.to_json))
+    monkeypatch.setattr(symmetry, "_singleton_row", counting("singleton", symmetry._singleton_row))
+    for argv in (["amenable"], ["cells"]):
+        assert run(["--json", *argv, path]) == 0
+        assert calls == [("component", cells) for cells in multi], argv
+        calls.clear()
+    assert run(["--json", "dist", "--components", path]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 def _pinned_cli_inputs() -> dict[str, Graph]:
     """File name -> graph: figure 1, C6, the first pinned G(n, m) draw that
     fails each of conditions A-D, an amenable atlas graph as graph6 and a seeded

@@ -4,11 +4,13 @@ output byte for byte is checked by the suite rather than by hand.
 For each input the digest covers ``json.dumps(..., sort_keys=True)`` of the
 amenability verdict, the ``graphsym cells`` payload and, for an amenable
 graph, ``analyze(...).to_json()``.  A change that alters an answer on
-purpose recomputes the digests and says why.
+purpose recomputes the digests and says why.  The ``--json`` text the CLI
+writes from row templates is checked against the same ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -18,7 +20,9 @@ import pytest
 
 from graphsym import check_amenable, from_edge_list
 from graphsym.cells import anisotropic_components, cell_graph_of_equitable, component_rows
-from graphsym.generators import random_amenable
+from graphsym.cli import _cmd_amenable, _cmd_cells, _cmd_symmetry, run
+from graphsym.formats import format_edge_list
+from graphsym.generators import named, random_amenable
 from graphsym.refinement import stable_partition
 from graphsym.symmetry import analyze
 
@@ -93,3 +97,64 @@ def test_outputs_match_pinned_digest(family):
 def test_gnm_draws_fail_every_condition():
     failed = {v.failure.condition for v in map(check_amenable, _gnm()) if not v.amenable}
     assert failed == {"A", "B", "C", "D"}
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, check_circular=False)
+
+
+def _heterogeneous():
+    """Graphs with a heterogeneous cell that is a component of its own: a
+    5-cycle and a perfect matching, alone and beside singleton cells."""
+    c5, matching = named("cn", 5), from_edge_list(4, [(0, 1), (2, 3)])
+    tree = from_edge_list(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])  # asymmetric
+    return [c5, matching, disjoint_union(c5, tree), disjoint_union(tree, matching)]
+
+
+WRITER_FAMILIES = {"atlas": _atlas, "random_amenable": _random_amenable, "gnm": _gnm,
+                   "near_discrete": near_discrete, "heterogeneous": _heterogeneous,
+                   "empty": lambda: [from_edge_list(0, [])]}
+_JSON = argparse.Namespace(json=True, components=True, field="dist_number")
+
+
+@pytest.mark.parametrize("family", sorted(WRITER_FAMILIES))
+def test_json_text_is_the_payload_encoded(family):
+    """The --json text of ``amenable``, ``cells`` and ``dist --components``,
+    and each record's row, is json.dumps of its to_json()."""
+    lone_heterogeneous = 0
+    for g in WRITER_FAMILIES[family]():
+        verdict = check_amenable(g)
+        cg = cell_graph_of_equitable(g, stable_partition(g))
+        records = anisotropic_components(cg)
+        for r in records:
+            assert r.json_text() == _dumps(r.to_json())
+            lone_heterogeneous += len(r.cells) == 1 and r.heterogeneous
+        cells = {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}
+        assert _cmd_cells(g, _JSON) == (_dumps(cells), None)
+        if not verdict.amenable:  # no per-cell list: the CLI encodes the dict
+            assert _cmd_amenable(g, _JSON) == (verdict.to_json(), None)
+            continue
+        assert _cmd_amenable(g, _JSON) == (_dumps(verdict.to_json()), None)
+        report = analyze(g, verdict=verdict)
+        for r in report.components:
+            assert r.json_text() == _dumps(r.to_json())
+        assert _cmd_symmetry(g, _JSON) == (_dumps(report.to_json()), None)
+    if family == "heterogeneous":
+        assert lone_heterogeneous == 4
+
+
+def test_cli_json_of_a_large_tree(tmp_path, capsys):
+    """A random recursive tree of 5 * 10^4 vertices, through the CLI."""
+    rng, n = random.Random(5), 50_000
+    g = from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    path = tmp_path / "tree.txt"
+    path.write_text(format_edge_list(g))
+    verdict = check_amenable(g)
+    cg, records = verdict.cell_graph, verdict.components
+    for argv, payload in (
+        (["amenable"], verdict.to_json()),
+        (["cells"], {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}),
+        (["dist", "--components"], analyze(g, verdict=verdict).to_json()),
+    ):
+        assert run(["--json", *argv, str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n", argv
