@@ -22,7 +22,6 @@ from .cells import (
     PairKind,
     anisotropic_components,
     cell_graph_of_equitable,
-    component_rows,
     components_text,
 )
 from .graph import Graph
@@ -60,17 +59,15 @@ class AmenabilityVerdict(NamedTuple):
     components: tuple[Component, ...] | None = None  # None unless amenable
     failure: Failure | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"amenable": self.amenable}
-        if self.failure is not None:
-            out["failure"] = self.failure.to_json()
-        if self.components is not None:
-            out["components"] = component_rows(self.cell_graph.cell_sizes, self.components)
-        return out
+    def json_text(self) -> str:
+        """The verdict's JSON text: its components, or its failure."""
+        if self.amenable:
+            return '{"amenable": true, "components": %s}' % components_text(
+                self.cell_graph.cell_sizes, self.components)
+        import json  # only a failed verdict is encoded by json
 
-    def components_text(self) -> str:
-        """The JSON text of ``to_json()["components"]``, for an amenable verdict."""
-        return components_text(self.cell_graph.cell_sizes, self.components)
+        return '{"amenable": false, "failure": %s}' % json.dumps(
+            self.failure.to_json(), sort_keys=True)
 
 
 def check_amenable(g: Graph) -> AmenabilityVerdict:

@@ -45,15 +45,18 @@ def _anisotropic(kind: PairKind) -> bool:
     return kind is PairKind.ANISO_STARS or kind is PairKind.ANISO_CO_STARS
 
 
-# The JSON text of the rows whose keys never vary and whose values are ints,
-# booleans, enum values or lists of ints, as json.dumps(row, sort_keys=True)
-# writes them: nothing in them needs escaping, and a list of ints prints as
-# its JSON.  So a list of thousands of rows is written without a dict a row.
+# The JSON text of each row, as json.dumps(row, sort_keys=True) writes it:
+# its values are ints, booleans, enum values, fixed ASCII reasons, lists of
+# ints (which print as their JSON) and maps of ints, so nothing in them
+# needs escaping.  A list of thousands of rows is written without a dict.
 _CELL_ROW = '{"id": %d, "kind": "%s", "size": %d, "vertices": %s}'
 _PAIR_ROW = '{"d_ij": %d, "d_ji": %d, "i": %d, "j": %d, "kind": "%s"}'
 _STAR_PAIR_ROW = '{"centers": %d, ' + _PAIR_ROW[1:]
 _ONE_CELL_ROW = ('{"cells": [%d], "heterogeneous": %s, "multiplicities": {}, "parents": {}, '
                  '"root": %d}')
+_RECORD = ('{"cells": %s, %s"heterogeneous": %s, "multiplicities": %s, "parents": %s, '
+           '"root": %d}')  # the second %s holds the findings, if any
+_FINDING_ROW = '{"cells": %s, "condition": "%s", "reason": "%s"}'
 
 
 class CellGraph(NamedTuple):
@@ -72,27 +75,17 @@ class CellGraph(NamedTuple):
     cell_kinds: tuple[CellKind, ...]
     pair_kinds: dict[tuple[int, int], PairKind]
 
-    def to_json(self) -> dict:
-        """Every cell, and every cell pair with an edge with its degree
-        constants, read from the profile of each cell's lowest vertex."""
-        sizes, kinds = self.cell_sizes, self.cell_kinds
-        return {
-            "cells": [{"id": i, "size": sizes[i], "kind": kinds[i].value, "vertices": list(cell)}
-                      for i, cell in enumerate(self.partition.cells)],
-            "pairs": [{"i": i, "j": j, "d_ij": d_ij, "d_ji": d_ji, "kind": kind,
-                       **({} if centers is None else {"centers": centers})}
-                      for i, j, d_ij, d_ji, kind, centers in self._pairs()],
-        }
-
     def cells_text(self) -> str:
-        """The JSON text of ``to_json()["cells"]``."""
+        """The JSON list of every cell: id, size, kind and vertices."""
         sizes, kinds = self.cell_sizes, self.cell_kinds
         return "[%s]" % ", ".join([
             _CELL_ROW % (i, kinds[i].value, sizes[i], list(cell))
             for i, cell in enumerate(self.partition.cells)])
 
     def pairs_text(self) -> str:
-        """The JSON text of ``to_json()["pairs"]``."""
+        """The JSON list of every cell pair with an edge: its degree
+        constants and kind, read from the profile of each cell's lowest
+        vertex, and its star centers' cell when it is anisotropic."""
         return "[%s]" % ", ".join([
             _PAIR_ROW % (d_ij, d_ji, i, j, kind) if centers is None
             else _STAR_PAIR_ROW % (centers, d_ij, d_ji, i, j, kind)
@@ -143,30 +136,21 @@ class Component(NamedTuple):
     def is_tree(self) -> bool:
         return bool(self.order)
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "cells": list(self.cells),
-            "root": self.root,
-            "parents": {str(c): p for c, p in sorted(self.parent.items())},
-            "multiplicities": {str(c): m for c, m in sorted(self.multiplicity.items())},
-            "heterogeneous": self.heterogeneous,
-        }
-        if self.findings:
-            out["findings"] = [
-                {"condition": cond, "reason": reason, "cells": list(cells)}
-                for cond, reason, cells in self.findings
-            ]
-        return out
-
     def json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, from a template
-        for a record of one cell, which has no parent and no finding."""
-        if len(self.cells) == 1:
-            return _ONE_CELL_ROW % (self.cells[0], "true" if self.heterogeneous else "false",
-                                    self.root)
-        import json  # loaded by the first record that needs it, not by importing cells
+        """The record's JSON text.  Its maps are keyed by cell ids as
+        strings, in string order ("10" before "9"), as sort_keys writes them."""
+        het = "true" if self.heterogeneous else "false"
+        if len(self.cells) == 1:  # no parent and no finding
+            return _ONE_CELL_ROW % (self.cells[0], het, self.root)
+        findings = ", ".join([_FINDING_ROW % (list(cells), cond, reason)
+                              for cond, reason, cells in self.findings])
+        return _RECORD % (list(self.cells), findings and '"findings": [%s], ' % findings, het,
+                          _map_text(self.multiplicity), _map_text(self.parent), self.root)
 
-        return json.dumps(self.to_json(), sort_keys=True, check_circular=False)
+
+def _map_text(cell_map: dict[int, int]) -> str:
+    return "{%s}" % ", ".join(['"%s": %d' % item
+                               for item in sorted([(str(c), v) for c, v in cell_map.items()])])
 
 
 def build_cell_graph(g: Graph, p: Partition) -> CellGraph:
@@ -237,31 +221,19 @@ def _lone_component(cell: int, heterogeneous: bool = False) -> Component:
                      heterogeneous=heterogeneous)
 
 
-def _lone_row(cell: int) -> dict:  # _lone_component(cell).to_json()
-    return {"cells": [cell], "root": cell, "parents": {}, "multiplicities": {},
-            "heterogeneous": False}
-
-
 def _lone_text(cell: int) -> str:  # _lone_component(cell).json_text()
     return _ONE_CELL_ROW % (cell, "false", cell)
-
-
-def component_rows(sizes: Sequence[int], records: Sequence,
-                   lone_row: Callable[[int], dict | str] = _lone_row,
-                   row: Callable = Component.to_json) -> list:
-    """The JSON list of every component by lowest cell id, in one pass over
-    the cell ids: ``row(record)`` at each record's lowest cell, and
-    ``lone_row(cell)`` for each singleton cell, which has no record."""
-    at = {r.cells[0]: r for r in records}
-    return [lone_row(i) if size == 1 else row(at[i])
-            for i, size in enumerate(sizes) if size == 1 or i in at]
 
 
 def components_text(sizes: Sequence[int], records: Sequence,
                     lone_row: Callable[[int], str] = _lone_text,
                     row: Callable = Component.json_text) -> str:
-    """The JSON text of component_rows, written by the ``json_text`` writers."""
-    return "[%s]" % ", ".join(component_rows(sizes, records, lone_row, row))
+    """The JSON list of every component by lowest cell id, in one pass over
+    the cell ids: ``row(record)`` at each record's lowest cell, and
+    ``lone_row(cell)`` for each singleton cell, which has no record."""
+    at = {r.cells[0]: r for r in records}
+    return "[%s]" % ", ".join([lone_row(i) if size == 1 else row(at[i])
+                               for i, size in enumerate(sizes) if size == 1 or i in at])
 
 
 def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
@@ -269,7 +241,7 @@ def anisotropic_components(cg: CellGraph) -> tuple[Component, ...]:
     or more vertices, rooted and checked, ordered by lowest cell id.
 
     A singleton cell is a component of its own with no record: it adds
-    D = 1 and Fix = 0, and component_rows writes its JSON row.  Structural
+    D = 1 and Fix = 0, and components_text writes its JSON row.  Structural
     problems are recorded in each Component's findings, never raised;
     check_amenable judges C and D from them.
     """

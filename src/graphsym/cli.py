@@ -1,13 +1,14 @@
 """Command-line front end.
 
 A graph command maps the loaded graph and ``args`` to its answer ``(payload,
-human)``, and ``human=None`` means the payload is printed indented.  Under
---json, ``amenable``, ``cells`` and ``dist``/``fix --components`` hand over
-the payload as its text, which the row writers beside the records write
-byte for byte as ``json.dumps(payload, sort_keys=True)`` would.  ``run``
-loads the input, except for ``iso`` (which forks before it loads) and
-``gen`` (which writes a graph and answers None), prints the answer and maps
-errors to exit codes.
+human)``, and ``human=None`` means the payload is printed indented.
+``amenable``, ``cells`` and ``dist``/``fix --components`` hand over the
+payload as its JSON text, which the text writers beside the records write
+byte for byte as ``json.dumps(payload, sort_keys=True)`` would: it is
+printed as is under --json, and indented from its ``json.loads`` otherwise.
+``run`` loads the input, except for ``iso`` (which forks before it loads)
+and ``gen`` (which writes a graph and answers None), prints the answer and
+maps errors to exit codes.
 
 Exit codes: 0 success; 1 parse/IO or usage errors, including BadSpec for a
 malformed ``gen spec`` file and a closed stdin, or a closed or failing
@@ -114,7 +115,9 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
 def _emit(args, payload: dict | str | None, human: str | None) -> None:
     """Print an answer (see the module docstring), the indented payload built only
     when printed, and flush it, so that a failing stdout raises inside run."""
-    if isinstance(payload, str):  # the --json text, written by the command
+    if isinstance(payload, str) and not args.json:  # JSON text, printed indented
+        payload = json.loads(payload)
+    if isinstance(payload, str):
         human = payload
     elif args.json or human is None:
         human = json.dumps(payload, indent=None if args.json else 2, sort_keys=True,
@@ -126,12 +129,11 @@ def _fail(args, exc: Exception, code: int) -> int:
     """Report exc and return code.  If stdout fails while it takes the JSON
     report, the failure is reported on stderr instead, with code 1."""
     if args.json:
-        payload: dict = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NotAmenable):
-            payload["verdict"] = exc.verdict.to_json()
+        text = json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
+        if isinstance(exc, NotAmenable):  # "verdict" sorts last
+            text = '%s, "verdict": %s}' % (text[:-1], exc.verdict.json_text())
         try:
-            print(json.dumps(payload, sort_keys=True, check_circular=False),
-                  file=_std("stdout"), flush=True)
+            print(text, file=_std("stdout"), flush=True)
             return code
         except OSError as write_error:
             exc, code = write_error, EXIT_IO
@@ -146,40 +148,31 @@ def _cmd_refine(g: Graph, args) -> tuple[dict, str | None]:
     return p.to_json(), None if args.json else "\n".join(" ".join(map(str, c)) for c in p.cells)
 
 
-def _cmd_cells(g: Graph, args) -> tuple[dict | str, None]:
-    from .cells import (
-        anisotropic_components, cell_graph_of_equitable, component_rows, components_text,
-    )
+def _cmd_cells(g: Graph, args) -> tuple[str, None]:
+    from .cells import anisotropic_components, cell_graph_of_equitable, components_text
     from .refinement import stable_partition
 
     cg = cell_graph_of_equitable(g, stable_partition(g))
-    records = anisotropic_components(cg)
-    if args.json:
-        return '{"cells": %s, "components": %s, "pairs": %s}' % (
-            cg.cells_text(), components_text(cg.cell_sizes, records), cg.pairs_text()), None
-    return {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}, None
+    return '{"cells": %s, "components": %s, "pairs": %s}' % (
+        cg.cells_text(), components_text(cg.cell_sizes, anisotropic_components(cg)),
+        cg.pairs_text()), None
 
 
-def _cmd_amenable(g: Graph, args) -> tuple[dict | str | None, str | None]:
+def _cmd_amenable(g: Graph, args) -> tuple[str | None, str | None]:
     from .amenability import check_amenable
 
     verdict = check_amenable(g)
     if not args.json:
         return None, "amenable" if verdict.amenable else f"not amenable: {verdict.failure}"
-    if verdict.amenable:
-        return '{"amenable": true, "components": %s}' % verdict.components_text(), None
-    return verdict.to_json(), None
+    return verdict.json_text(), None
 
 
 def _cmd_symmetry(g: Graph, args) -> tuple[dict | str, str | None]:
     from .symmetry import analyze
 
     report = analyze(g)
-    if args.components and args.json:
-        return '{"components": %s, "dist_number": %d, "fix_number": %d}' % (
-            report.components_text(), report.dist_number, report.fix_number), None
     if args.components:
-        return report.to_json(), None
+        return report.json_text(), None
     value = getattr(report, args.field)
     return {args.field: value}, str(value)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ def test_figure1_amenable(figure1):
     verdict = check_amenable(figure1)
     assert verdict.amenable
     assert [c.cells for c in verdict.components] == [(1, 3), (2,)]  # singleton cell 0 has none
-    assert len(verdict.to_json()["components"]) == 3
+    assert len(json.loads(verdict.json_text())["components"]) == 3
     assert verdict.failure is None
 
 

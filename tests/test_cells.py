@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +17,7 @@ from graphsym import (
     oracle,
     stable_partition,
 )
-from graphsym.cells import component_rows
+from graphsym.cells import components_text
 from graphsym.errors import NotEquitable
 from graphsym.generators import generate, named, random_amenable
 
@@ -34,7 +36,8 @@ def test_figure1_kinds_and_pairs(figure1):
         CellKind.EMPTY, CellKind.EMPTY, CellKind.MATCHING, CellKind.EMPTY,
     )
     # pairs (0, 3) and (1, 2) have no edge, so no row
-    assert [(q["i"], q["j"], q["kind"], q.get("centers")) for q in cg.to_json()["pairs"]] == [
+    rows = json.loads(cg.pairs_text())
+    assert [(q["i"], q["j"], q["kind"], q.get("centers")) for q in rows] == [
         (0, 1, "iso_complete", None), (0, 2, "iso_complete", None), (1, 3, "aniso_stars", 3)]
     assert cg.pair_kinds == {(1, 3): PairKind.ANISO_STARS}
 
@@ -68,7 +71,7 @@ def test_not_equitable_rejected():
 def test_figure1_components(figure1):
     cg = cell_graph_of(figure1)
     comps = anisotropic_components(cg)  # ordered by lowest cell id
-    rows = component_rows(cg.cell_sizes, comps)  # with singleton cell 0
+    rows = json.loads(components_text(cg.cell_sizes, comps))  # with singleton cell 0
     assert [c.cells for c in comps] == [(1, 3), (2,)]
     assert [r["cells"] for r in rows] == [[0], [1, 3], [2]]
     assert comps[0].root == 3
@@ -196,7 +199,7 @@ def test_pair_classified_from_the_smaller_higher_cell(join, kind, d_bc, d_cb):
     cg = cell_graph_of(from_edge_list(11, A_TO_B + join))
     assert cg.cell_sizes == (2, 6, 3)
     assert cg.pair_kinds == {(0, 1): PairKind.ANISO_STARS, (1, 2): kind}
-    (row,) = (q for q in cg.to_json()["pairs"] if (q["i"], q["j"]) == (1, 2))
+    (row,) = (q for q in json.loads(cg.pairs_text()) if (q["i"], q["j"]) == (1, 2))
     assert row == {"i": 1, "j": 2, "d_ij": d_bc, "d_ji": d_cb, "kind": kind.value, "centers": 2}
 
 
@@ -207,8 +210,8 @@ def test_cells_json_reads_one_adjacency_row_per_cell():
     cg = cell_graph_of(g)
     rows = tuple(map(_CountingRow, g.adjacency))
     _CountingRow.visits = 0
-    out = cg._replace(graph=g._replace(adjacency=rows)).to_json()
-    assert out == cg.to_json()
+    counted = cg._replace(graph=g._replace(adjacency=rows))
+    assert (counted.cells_text(), counted.pairs_text()) == (cg.cells_text(), cg.pairs_text())
     bound = sum(len(g.adjacency[cell[0]]) for cell in cg.partition.cells)
     assert bound < 2 * g.m and _CountingRow.visits <= bound
 
@@ -220,7 +223,7 @@ def test_double_counting_identity(g):
     cell_of = cg.partition.cell_of
     # a row for every cell pair with an edge, singleton cells included
     pairs = {(cell_of[u], cell_of[v]) for u in range(g.n) for v in g.adjacency[u]}
-    rows = cg.to_json()["pairs"]
+    rows = json.loads(cg.pairs_text())
     assert [(q["i"], q["j"]) for q in rows] == sorted((i, j) for i, j in pairs if i < j)
     for q in rows:
         assert q["d_ij"] > 0

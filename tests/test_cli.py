@@ -570,34 +570,24 @@ def test_json_mode_builds_no_indented_text(fig1_file, capsys, monkeypatch):
 
 
 def test_json_mode_writes_per_cell_rows_from_templates(tmp_path, capsys, monkeypatch):
-    """Under --json only a multi-cell record's row goes through to_json: not
-    a singleton cell's, a one-cell record's or any symmetry row."""
-    from graphsym import symmetry
-    from graphsym.cells import Component
-    from graphsym.symmetry import ComponentReport
-
+    """Under --json, ``amenable``, ``cells`` and ``dist --components`` write
+    every row and record from its template: json.dumps never runs."""
     g = recursive_tree(random.Random(11), 2000)  # mostly singleton cells
     path = _write(tmp_path / "tree.txt", format_edge_list(g))
     records = check_amenable(g).components
-    multi = [r.cells for r in records if len(r.cells) > 1]
+    multi = [r for r in records if len(r.cells) > 1]
     assert multi and len(multi) < len(records) < g.n // 2  # every kind of row occurs
     calls = []
+    dumps = json.dumps
 
-    def counting(name, method):
-        def wrapper(*args):
-            calls.append((name, args[0] if name == "singleton" else args[0].cells))
-            return method(*args)
-        return wrapper
+    def counting(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(Component, "to_json", counting("component", Component.to_json))
-    monkeypatch.setattr(ComponentReport, "to_json", counting("report", ComponentReport.to_json))
-    monkeypatch.setattr(symmetry, "_singleton_row", counting("singleton", symmetry._singleton_row))
-    for argv in (["amenable"], ["cells"]):
+    monkeypatch.setattr(json, "dumps", counting)
+    for argv in (["amenable"], ["cells"], ["dist", "--components"]):
         assert run(["--json", *argv, path]) == 0
-        assert calls == [("component", cells) for cells in multi], argv
-        calls.clear()
-    assert run(["--json", "dist", "--components", path]) == 0
-    assert calls == []
+        assert calls == [], argv
     capsys.readouterr()
 
 

@@ -100,3 +100,16 @@ def test_no_module_imports_a_name_it_never_uses():
     unused += [f"{where}: {name} is never read" for name, where in defined.items()
                if name not in read]
     assert unused == []
+
+
+def test_no_class_has_two_json_writers():
+    """A class under src/graphsym writes its JSON by ``to_json`` (a dict) or
+    by ``json_text`` (the text), never both, so one writer owns each shape."""
+    both = []
+    for path in sorted(Path(graphsym.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if {"to_json", "json_text"} <= methods:
+                    both.append(f"{path.name}: {node.name}")
+    assert both == []

@@ -1,11 +1,12 @@
 """Pinned digests of the JSON answers, so that a change meant to keep every
 output byte for byte is checked by the suite rather than by hand.
 
-For each input the digest covers ``json.dumps(..., sort_keys=True)`` of the
-amenability verdict, the ``graphsym cells`` payload and, for an amenable
-graph, ``analyze(...).to_json()``.  A change that alters an answer on
-purpose recomputes the digests and says why.  The ``--json`` text the CLI
-writes from row templates is checked against the same ``json.dumps``.
+For each input the digest covers the JSON text of the amenability verdict,
+the ``graphsym cells`` answer and, for an amenable graph,
+``analyze(...).json_text()``, as a JSON list.  A change that alters an
+answer on purpose recomputes the digests and says why.  Every such text is
+also checked to be in the canonical form ``json.dumps(value,
+sort_keys=True)`` writes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import networkx as nx
 import pytest
 
 from graphsym import check_amenable, from_edge_list
-from graphsym.cells import anisotropic_components, cell_graph_of_equitable, component_rows
+from graphsym.cells import anisotropic_components, cell_graph_of_equitable
 from graphsym.cli import _cmd_amenable, _cmd_cells, _cmd_symmetry, run
 from graphsym.formats import format_edge_list
 from graphsym.generators import named, random_amenable
@@ -29,13 +30,13 @@ from graphsym.symmetry import analyze
 from .conftest import complement, disjoint_union, near_discrete
 
 
+_JSON = argparse.Namespace(json=True, components=True, field="dist_number")
+
+
 def _answers(g) -> str:
     verdict = check_amenable(g)
-    cg = cell_graph_of_equitable(g, stable_partition(g))
-    cells = cg.to_json()
-    cells["components"] = component_rows(cg.cell_sizes, anisotropic_components(cg))
-    symmetry = analyze(g, verdict=verdict).to_json() if verdict.amenable else None
-    return json.dumps([verdict.to_json(), cells, symmetry], sort_keys=True)
+    symmetry = analyze(g, verdict=verdict).json_text() if verdict.amenable else "null"
+    return "[%s, %s, %s]" % (verdict.json_text(), _cmd_cells(g, _JSON)[0], symmetry)
 
 
 def _digest(graphs) -> str:
@@ -99,8 +100,8 @@ def test_gnm_draws_fail_every_condition():
     assert failed == {"A", "B", "C", "D"}
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, check_circular=False)
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True)
 
 
 def _heterogeneous():
@@ -113,48 +114,51 @@ def _heterogeneous():
 
 WRITER_FAMILIES = {"atlas": _atlas, "random_amenable": _random_amenable, "gnm": _gnm,
                    "near_discrete": near_discrete, "heterogeneous": _heterogeneous,
-                   "empty": lambda: [from_edge_list(0, [])]}
-_JSON = argparse.Namespace(json=True, components=True, field="dist_number")
+                   "empty": lambda: [from_edge_list(0, [])], "failing_unions": _failing_unions,
+                   "path": lambda: [named("pn", 24)]}  # a chain of 12 cells: ids 9 and 10
 
 
 @pytest.mark.parametrize("family", sorted(WRITER_FAMILIES))
 def test_json_text_is_the_payload_encoded(family):
-    """The --json text of ``amenable``, ``cells`` and ``dist --components``,
-    and each record's row, is json.dumps of its to_json()."""
-    lone_heterogeneous = 0
+    """Every ``json_text()``, and the --json text of ``amenable``, ``cells``
+    and ``dist --components``, is json.dumps(..., sort_keys=True) of its own
+    value: keys in order, ", " and ": " separators, and maps keyed by cell
+    ids in string order ("10" before "9")."""
+    seen = {"lone heterogeneous": 0, "findings": 0, "keys 9 and 10": 0}
     for g in WRITER_FAMILIES[family]():
         verdict = check_amenable(g)
-        cg = cell_graph_of_equitable(g, stable_partition(g))
-        records = anisotropic_components(cg)
+        records = anisotropic_components(cell_graph_of_equitable(g, stable_partition(g)))
+        texts = [r.json_text() for r in records]
+        texts += [verdict.json_text(), _cmd_amenable(g, _JSON)[0], _cmd_cells(g, _JSON)[0]]
+        if verdict.amenable:
+            report = analyze(g, verdict=verdict)
+            texts += [r.json_text() for r in report.components]
+            texts += [report.json_text(), _cmd_symmetry(g, _JSON)[0]]
+        bad = [text for text in texts if text != _canonical(text)]
+        assert not bad, bad[0][:300]  # not a diff of two long strings, which takes minutes
         for r in records:
-            assert r.json_text() == _dumps(r.to_json())
-            lone_heterogeneous += len(r.cells) == 1 and r.heterogeneous
-        cells = {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}
-        assert _cmd_cells(g, _JSON) == (_dumps(cells), None)
-        if not verdict.amenable:  # no per-cell list: the CLI encodes the dict
-            assert _cmd_amenable(g, _JSON) == (verdict.to_json(), None)
-            continue
-        assert _cmd_amenable(g, _JSON) == (_dumps(verdict.to_json()), None)
-        report = analyze(g, verdict=verdict)
-        for r in report.components:
-            assert r.json_text() == _dumps(r.to_json())
-        assert _cmd_symmetry(g, _JSON) == (_dumps(report.to_json()), None)
-    if family == "heterogeneous":
-        assert lone_heterogeneous == 4
+            seen["lone heterogeneous"] += len(r.cells) == 1 and r.heterogeneous
+            seen["findings"] += bool(r.findings)
+            seen["keys 9 and 10"] += {9, 10} <= set(r.parent)
+    expected = {"heterogeneous": "lone heterogeneous", "failing_unions": "findings",
+                "path": "keys 9 and 10"}
+    if family in expected:
+        assert seen[expected[family]] > 0, seen
 
 
 def test_cli_json_of_a_large_tree(tmp_path, capsys):
-    """A random recursive tree of 5 * 10^4 vertices, through the CLI."""
+    """A random recursive tree of 5 * 10^4 vertices, through the CLI: each
+    answer is the text the library writes, in canonical form."""
     rng, n = random.Random(5), 50_000
     g = from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)])
     path = tmp_path / "tree.txt"
     path.write_text(format_edge_list(g))
     verdict = check_amenable(g)
-    cg, records = verdict.cell_graph, verdict.components
-    for argv, payload in (
-        (["amenable"], verdict.to_json()),
-        (["cells"], {**cg.to_json(), "components": component_rows(cg.cell_sizes, records)}),
-        (["dist", "--components"], analyze(g, verdict=verdict).to_json()),
+    for argv, text in (
+        (["amenable"], verdict.json_text()),
+        (["cells"], _cmd_cells(g, _JSON)[0]),
+        (["dist", "--components"], analyze(g, verdict=verdict).json_text()),
     ):
         assert run(["--json", *argv, str(path)]) == 0
-        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n", argv
+        same = capsys.readouterr().out == text + "\n" and text == _canonical(text)
+        assert same, argv  # not a diff of two long strings, which takes minutes

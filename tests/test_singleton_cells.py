@@ -25,11 +25,11 @@ from graphsym import (
 )
 from graphsym import cells as cells_module
 from graphsym import symmetry as symmetry_module
-from graphsym.cells import _lone_component, _lone_row, component_rows
+from graphsym.cells import _lone_component, _lone_text, components_text
 from graphsym.cli import run
 from graphsym.formats import format_edge_list
 from graphsym.generators import named
-from graphsym.symmetry import _singleton_row, component_report
+from graphsym.symmetry import _singleton_text, component_report
 
 from .conftest import disjoint_union, every_component, graphs, near_discrete
 from .test_pinned_outputs import _atlas, _random_amenable
@@ -73,7 +73,7 @@ def _check_against_adjacency(g) -> None:
     cg = build_cell_graph(g, p)
     sizes = cg.cell_sizes
     degrees = _reference_degrees(g, p)
-    rows = cg.to_json()["pairs"]
+    rows = json.loads(cg.pairs_text())
     assert [(q["i"], q["j"]) for q in rows] == sorted((i, j) for i, j in degrees if i < j)
     for q in rows:
         i, j = q["i"], q["j"]
@@ -165,7 +165,7 @@ def test_failure_index_counts_singleton_components(condition, failing, reason):
         "condition": condition, "component": 8, "reason": reason}
     assert verdict.components is None
     cg = build_cell_graph(g, stable_partition(g))
-    rows = component_rows(cg.cell_sizes, anisotropic_components(cg))
+    rows = json.loads(components_text(cg.cell_sizes, anisotropic_components(cg)))
     assert [r["cells"] for r in rows[:8]] == [[c] for c in range(8)]
     failing = rows[verdict.failure.component]
     assert (condition, reason) in [(f["condition"], f["reason"]) for f in failing["findings"]]
@@ -179,8 +179,8 @@ def test_all_singleton_graphs(tmp_path, capsys, n, edges, dist, fix):
     report = analyze(g)
     assert (report.dist_number, report.fix_number) == (dist, fix)
     assert report.components == ()
-    assert [(r["cells"], r["dist"], r["fix"]) for r in report.to_json()["components"]] == [
-        ([c], 1, 0) for c in range(n)]
+    rows = json.loads(report.json_text())["components"]
+    assert [(r["cells"], r["dist"], r["fix"]) for r in rows] == [([c], 1, 0) for c in range(n)]
     path = tmp_path / "g.txt"
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert run(["--json", "cells", str(path)]) == 0
@@ -209,16 +209,18 @@ def _check_rows(g) -> None:
     cg = build_cell_graph(g, stable_partition(g))
     records = anisotropic_components(cg)
     every = every_component(cg, records)
-    assert component_rows(cg.cell_sizes, records) == [c.to_json() for c in every]
+    assert components_text(cg.cell_sizes, records) == "[%s]" % ", ".join(
+        [c.json_text() for c in every])
     for c in (c for c, size in enumerate(cg.cell_sizes) if size == 1):
-        assert _lone_row(c) == _lone_component(c).to_json()
-        assert _singleton_row(c) == component_report(cg, _lone_component(c)).to_json()
+        assert _lone_text(c) == _lone_component(c).json_text()
+        assert _singleton_text(c) == component_report(cg, _lone_component(c)).json_text()
     verdict = check_amenable(g)
     if verdict.amenable:
         assert verdict.components == records
-        assert verdict.to_json()["components"] == [c.to_json() for c in every]
-        assert analyze(g, verdict=verdict).to_json()["components"] == [
-            component_report(cg, c).to_json() for c in every]
+        assert json.loads(verdict.json_text())["components"] == [
+            json.loads(c.json_text()) for c in every]
+        assert json.loads(analyze(g, verdict=verdict).json_text())["components"] == [
+            json.loads(component_report(cg, c).json_text()) for c in every]
 
 
 @pytest.mark.parametrize("family", ["atlas", "random_amenable", "near_discrete", "tree_2000"])
@@ -232,8 +234,8 @@ def test_component_json_is_each_component_in_turn(family):
 def test_component_json_makes_no_record_per_singleton_cell(tmp_path, capsys, monkeypatch):
     g = NEAR_DISCRETE[3]  # a random recursive tree: about 1010 of 1230 cells are singletons
     verdict = check_amenable(g)
-    expected = verdict.to_json()
-    expected_report = analyze(g, verdict=verdict).to_json()
+    expected = json.loads(verdict.json_text())
+    expected_report = json.loads(analyze(g, verdict=verdict).json_text())
     sizes = verdict.cell_graph.cell_sizes
     lone, report_of = _lone_component, component_report
 
@@ -250,10 +252,10 @@ def test_component_json_makes_no_record_per_singleton_cell(tmp_path, capsys, mon
     monkeypatch.setattr(cells_module, "_lone_component", no_singleton_component)
     monkeypatch.setattr(symmetry_module, "component_report", no_singleton_report)
     verdict = check_amenable(g)
-    assert verdict.to_json() == expected
+    assert json.loads(verdict.json_text()) == expected
     assert all(sizes[c] > 1 for comp in verdict.components for c in comp.cells)
     report = analyze(g, verdict=verdict)
-    assert report.to_json() == expected_report
+    assert json.loads(report.json_text()) == expected_report
     assert len(report.components) == len(verdict.components) < len(expected["components"])
     path = tmp_path / "g.txt"
     path.write_text(format_edge_list(g))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -249,7 +250,7 @@ def test_report_structure(figure1):
     assert [r.cells for r in report.components] == [(1, 3), (2,)]  # singleton cell 0 has none
     assert [r.dist for r in report.components] == [2, 3]
     assert [r.fix for r in report.components] == [2, 2]
-    payload = report.to_json()
+    payload = json.loads(report.json_text())
     assert payload["dist_number"] == 3
     assert [(r["cells"], r["dist"], r["fix"]) for r in payload["components"]] == [
         ([0], 1, 0), ([1, 3], 2, 2), ([2], 3, 2)]
@@ -312,7 +313,7 @@ def test_analyze_reports_each_shape_once(monkeypatch):
     computed = verdict.components
     assert all(cg.cell_sizes[comp.root] > 1 for comp in computed)
     shapes = {shape(comp) for comp in computed}
-    assert len(shapes) < len(computed) < len(verdict.to_json()["components"])
+    assert len(shapes) < len(computed) < len(json.loads(verdict.json_text())["components"])
     calls = []
 
     def counted(cg_, comp):
@@ -415,7 +416,7 @@ def test_analyze_hashes_no_cell_kind(monkeypatch):
     monkeypatch.setattr(CellKind, "__hash__", refuse)
     report = analyze(g)
     assert sum(1 for r in report.components if len(r.cells) > 1) > 50
-    assert report.to_json()["fix_number"] == report.fix_number > 0
+    assert json.loads(report.json_text())["fix_number"] == report.fix_number > 0
 
 
 def test_long_path():
